@@ -31,159 +31,6 @@ pub fn section(title: &str) {
     );
 }
 
-/// Shared scaffolding of the serving-front trajectory binaries
-/// (`bench_serve`, `bench_fleet`, `bench_session`): the recurring-operand
-/// × fresh-stream workload shape, warm-up, timed rounds and the median
-/// rate — one implementation, so a new rung never re-derives (and
-/// subtly diverges from) the measurement protocol.
-pub mod serving {
-    use std::time::{Duration, Instant};
-
-    use he_accel::prelude::*;
-    use he_bigint::UBig;
-
-    use crate::operand;
-
-    /// One timed round's measurement.
-    pub struct RoundRate {
-        /// Round index, in submission order.
-        pub round: usize,
-        /// Wall time of the round.
-        pub elapsed_ms: f64,
-        /// Served throughput of the round.
-        pub products_per_sec: f64,
-    }
-
-    /// `rounds` disjoint fresh streams of `jobs` operands each — the
-    /// stream side of the serving traffic shape (deterministic, so every
-    /// binary times identical work).
-    pub fn fresh_streams(
-        bits: usize,
-        rounds: usize,
-        jobs: usize,
-        base_salt: u64,
-    ) -> Vec<Vec<UBig>> {
-        (0..rounds)
-            .map(|r| {
-                (0..jobs)
-                    .map(|i| operand(bits, base_salt + (r * jobs + i) as u64))
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// The serving-front configuration every trajectory binary measures
-    /// under: queue and cache sized to double the per-round job count so
-    /// neither bounds the middle of a round.
-    pub fn front_config(batch: usize, jobs: usize) -> ServeConfig {
-        ServeConfig {
-            queue_capacity: 2 * jobs,
-            max_batch: batch,
-            max_delay: Duration::from_millis(50),
-            cache_capacity: 2 * jobs,
-            ..ServeConfig::default()
-        }
-    }
-
-    /// Warm-up round: caches the recurring operand's spectrum and grows
-    /// the scratch pools, as a long-lived server would have long since
-    /// done — and verifies every warm product bit-exact against
-    /// `reference` (cold caches and first flushes are exactly the state
-    /// a serving bug would corrupt first). Stream operands are salted
-    /// far away from every timed round's, so no timed product gets an
-    /// accidental both-cached head start.
-    pub fn warm_up<S: Submitter, M: Multiplier>(
-        front: &S,
-        reference: &M,
-        fixed: &UBig,
-        jobs: usize,
-    ) {
-        let bits = fixed.bit_len();
-        let warm_stream: Vec<UBig> = (0..jobs)
-            .map(|i| operand(bits, 900_000 + i as u64))
-            .collect();
-        let warm: Vec<ProductTicket> = warm_stream
-            .iter()
-            .map(|b| {
-                front
-                    .submit(ProductRequest::new(fixed.clone(), b.clone()))
-                    .expect("serving front alive")
-            })
-            .collect();
-        for (ticket, b) in warm.into_iter().zip(&warm_stream) {
-            assert_eq!(
-                ticket.wait().expect("warm-up served"),
-                reference
-                    .multiply(fixed, b)
-                    .expect("warm-up operands fit the reference backend"),
-                "warm-up products must be bit-exact"
-            );
-        }
-    }
-
-    /// Times one submit-all-await-all round of `fixed × stream` through
-    /// any submission surface; when `expected` is non-empty the results
-    /// must bit-equal it.
-    pub fn timed_round<S: Submitter>(
-        front: &S,
-        fixed: &UBig,
-        stream: &[UBig],
-        expected: &[UBig],
-    ) -> RoundRate {
-        let start = Instant::now();
-        let tickets: Vec<ProductTicket> = stream
-            .iter()
-            .map(|b| {
-                front
-                    .submit(ProductRequest::new(fixed.clone(), b.clone()))
-                    .expect("serving front alive")
-            })
-            .collect();
-        let results: Vec<UBig> = tickets
-            .into_iter()
-            .map(|t| t.wait().expect("served"))
-            .collect();
-        let elapsed = start.elapsed().as_secs_f64();
-        if !expected.is_empty() {
-            assert_eq!(results, expected, "served round must be bit-exact");
-        }
-        RoundRate {
-            round: 0,
-            elapsed_ms: elapsed * 1e3,
-            products_per_sec: stream.len() as f64 / elapsed,
-        }
-    }
-
-    /// [`timed_round`] over every stream, verifying each round that has
-    /// an entry in `expected` (pass one round of expectations to check
-    /// only round 0, or all rounds for full verification).
-    pub fn timed_rounds<S: Submitter>(
-        front: &S,
-        fixed: &UBig,
-        streams: &[Vec<UBig>],
-        expected: &[Vec<UBig>],
-    ) -> Vec<RoundRate> {
-        streams
-            .iter()
-            .enumerate()
-            .map(|(round, stream)| {
-                let want = expected.get(round).map(Vec::as_slice).unwrap_or(&[]);
-                let mut rate = timed_round(front, fixed, stream, want);
-                rate.round = round;
-                rate
-            })
-            .collect()
-    }
-
-    /// The median round's throughput — a lucky round must not carry an
-    /// acceptance gate.
-    pub fn median_rate(rounds: &[RoundRate]) -> f64 {
-        let mut rates: Vec<f64> = rounds.iter().map(|r| r.products_per_sec).collect();
-        rates.sort_by(f64::total_cmp);
-        rates[rates.len() / 2]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -156,8 +156,8 @@ impl FaultPlan {
 }
 
 /// A [`Multiplier`] wrapper injecting the faults of a [`FaultPlan`] on a
-/// reproducible schedule — the chaos harness behind `tests/chaos.rs`,
-/// `examples/chaos_fleet.rs` and the `bench_chaos` bin.
+/// reproducible schedule — the chaos harness behind `tests/chaos.rs`
+/// and `examples/chaos_fleet.rs`.
 ///
 /// Name and provenance delegate to the inner backend, so prepared handles
 /// interchange with the clean backend's and the wrapper is invisible to

@@ -19,8 +19,8 @@
 //!
 //! The repository-level `README.md` is the guided tour; `ARCHITECTURE.md`
 //! maps every paper component (FFT unit, dot unit, carry adder, host
-//! interface, …) to the module that models it, draws the serving data
-//! flow, and documents the `BENCH_*.json` trajectory files.
+//! interface, …) to the module that models it and draws the serving data
+//! flow; `benchmark/README.md` documents the product-path benchmark.
 //!
 //! The crate-level API is the [`Multiplier`] trait with one implementation
 //! per evaluated system, so workloads can switch between the software
@@ -67,11 +67,10 @@
 //!
 //! For the deployment shape — resident engines behind a bounded queue,
 //! deadline-aware micro-batching, one card or a whole fleet — see
-//! [`serve`] ([`ProductServer`] and [`ServerPool`]); clients stream
-//! against it without a thread per in-flight product via
-//! [`CompletionQueue`] (tagged, completion-ordered draining) and
-//! [`ClientSession`] (register a recurring operand once, pinned in every
-//! card's cache).
+//! [`serve`] ([`ServerPool`]); clients stream against it without a
+//! thread per in-flight product via [`CompletionQueue`] (tagged,
+//! completion-ordered draining) and [`ClientSession`] (register a
+//! recurring operand once, pinned in every card's cache).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -99,8 +98,8 @@ pub use selfcheck::{self_check, SelfCheckReport};
 pub use serve::{
     completion_channel, CancelHandle, CardHealth, ClientSession, Completion, CompletionMint,
     CompletionQueue, CompletionReceiver, CompletionSink, DrainOutcome, FlushPolicy, PoolStats,
-    ProductRequest, ProductServer, ProductTicket, RoutePolicy, ServeConfig, ServeError, ServeStats,
-    ServedMultiplier, ServerPool, SubmitError, Submitter, TicketResolver,
+    ProductRequest, ProductTicket, RoutePolicy, ServeConfig, ServeError, ServeStats,
+    ServedMultiplier, ServerPool, SubmitError, Submitter,
 };
 
 /// Convenience re-exports for downstream users.
@@ -113,8 +112,8 @@ pub mod prelude {
     pub use crate::serve::{
         completion_channel, CancelHandle, CardHealth, ClientSession, Completion, CompletionMint,
         CompletionQueue, CompletionReceiver, CompletionSink, DrainOutcome, FlushPolicy, PoolStats,
-        ProductRequest, ProductServer, ProductTicket, RoutePolicy, ServeConfig, ServeError,
-        ServeStats, ServedMultiplier, ServerPool, SubmitError, Submitter, TicketResolver,
+        ProductRequest, ProductTicket, RoutePolicy, ServeConfig, ServeError, ServeStats,
+        ServedMultiplier, ServerPool, SubmitError, Submitter,
     };
     pub use he_bigint::UBig;
     pub use he_dghv::{CompressedKeyPair, DghvParams, KeyPair};

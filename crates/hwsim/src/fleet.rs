@@ -17,8 +17,7 @@
 //!   the report attributes every missed deadline to **queueing** (the
 //!   job was already late when a card claimed it) or to **compute** (its
 //!   own flush ran past the deadline) — the same split
-//!   `he_accel::serve::ServeStats` records for the software fleet, so
-//!   `bench_fleet` can print both side by side;
+//!   `he_accel::serve::ServeStats` records for the software fleet;
 //! * [`FleetModel::simulate_with_outages`] — the same simulation over a
 //!   **degraded fleet**: [`FleetOutage`] windows kill a card mid-flush
 //!   (the lost flush's jobs return to the shared queue,
@@ -34,7 +33,7 @@
 //!   completion-driven client (back-to-back micro-batches, pipelined),
 //!   and [`FleetModel::host_overlap_speedup`] their ratio — the gap
 //!   `he_accel::serve::CompletionQueue` exists to close, measured in
-//!   software by `bench_session`.
+//!   software by the benchmark's `serve.window32_vs_window1_ratio`.
 //!
 //! ```
 //! use he_hwsim::fleet::FleetModel;

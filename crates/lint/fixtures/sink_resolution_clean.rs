@@ -1,24 +1,25 @@
 // CLEAN: the sink reaches a send on every path before scope exit.
 pub fn resolve_on_both_paths(tx: Sender, shutting_down: bool) {
-    let reply = ReplySink::Ticket(tx);
+    let reply = CompletionSink::new(tx, 0);
     if shutting_down {
-        reply.send(closed());
+        reply.complete(closed());
         return;
     }
-    reply.send(product());
+    reply.complete(product());
 }
 
-// CLEAN: the ticket pattern — the sender half is handed to the queue (the
-// `?` propagates only after the sink is out of our hands), the receiver
-// half goes back to the caller.
-pub fn ticket(queue: &Queue, request: Request) -> Result<Receiver, ServeError> {
-    let (reply, rx) = mpsc::channel();
-    queue.enqueue(request, ReplySink::Ticket(reply))?;
-    Ok(rx)
+// CLEAN: the minted-sink pattern — the sink is handed to the queue (the
+// `?` propagates only after it is out of our hands), its cancel handle
+// stays with the caller.
+pub fn submit(queue: &Queue, mint: &Mint, request: Request) -> Result<Handle, SubmitError> {
+    let reply = mint.sink(7);
+    let handle = reply.cancel_handle();
+    queue.enqueue(request, reply)?;
+    Ok(handle)
 }
 
 // CLEAN: only the backend runs contained; the sink is resolved outside.
 pub fn contain_backend_only(job: Job, backend: &Backend) {
     let outcome = catch_unwind(AssertUnwindSafe(|| backend.flush()));
-    job.reply.send(outcome);
+    job.reply.complete(outcome);
 }

@@ -189,8 +189,8 @@ mod tests {
     #[test]
     fn rel_paths_are_slash_separated() {
         let root = Path::new("/a/b");
-        let p = Path::new("/a/b/crates/core/src/serve.rs");
-        assert_eq!(rel_path(root, p), "crates/core/src/serve.rs");
+        let p = Path::new("/a/b/crates/core/src/serve/worker.rs");
+        assert_eq!(rel_path(root, p), "crates/core/src/serve/worker.rs");
     }
 
     #[test]

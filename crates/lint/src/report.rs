@@ -189,7 +189,7 @@ mod tests {
     fn sample() -> Vec<Finding> {
         vec![Finding {
             rule: "panic-path",
-            file: "crates/core/src/serve.rs".to_string(),
+            file: "crates/core/src/serve/worker.rs".to_string(),
             line: 42,
             message: "an \"example\" message\twith escapes".to_string(),
             key: "let x = v[i];".to_string(),

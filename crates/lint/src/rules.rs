@@ -351,12 +351,13 @@ fn panic_path(file: &ScanFile) -> Vec<Finding> {
 
 // --------------------------------------------------------- sink-resolution
 
-/// Initializer tokens that construct a reply sink / ticket sender.
-const SINK_MAKERS: [&str; 3] = ["ReplySink::", "CompletionSink", "mpsc::channel()"];
+/// Initializer tokens that construct a completion sink (or the channel
+/// sender behind one).
+const SINK_MAKERS: [&str; 3] = ["CompletionSink", ".sink(", "mpsc::channel()"];
 
 /// Tokens that, mentioned inside a `catch_unwind(…)` span, mean a sink is
 /// exposed to an unwind (and would be dropped unresolved).
-const UNWIND_SENSITIVE: [&str; 3] = ["ReplySink", "CompletionSink", ".reply"];
+const UNWIND_SENSITIVE: [&str; 2] = ["CompletionSink", ".reply"];
 
 struct Sink {
     name: String,
@@ -751,7 +752,7 @@ fn f(m: &M) {
     fn sink_leak_on_early_return_and_scope_exit() {
         let src = "\
 fn leak(tx: Sender, flag: bool) {
-    let reply = ReplySink::Ticket(tx);
+    let reply = CompletionSink::new(tx, 0);
     if flag {
         return;
     }
@@ -767,17 +768,17 @@ fn leak(tx: Sender, flag: bool) {
     fn sink_resolved_on_all_paths_is_clean() {
         let src = "\
 fn ok(tx: Sender, flag: bool) {
-    let reply = ReplySink::Ticket(tx);
+    let reply = CompletionSink::new(tx, 0);
     if flag {
-        reply.send(Err(closed()));
+        reply.complete(Err(closed()));
         return;
     }
-    reply.send(Ok(product()));
+    reply.complete(Ok(product()));
 }
 fn ticket(&self) -> Result<(), ServeError> {
-    let (reply, rx) = mpsc::channel();
-    self.enqueue(ReplySink::Ticket(reply))?;
-    Ok(rx)
+    let reply = mint.sink(7);
+    self.enqueue(reply)?;
+    Ok(())
 }
 ";
         let f = scan(src);
@@ -788,11 +789,11 @@ fn ticket(&self) -> Result<(), ServeError> {
     fn sink_inside_catch_unwind_is_flagged() {
         let src = "\
 fn contain(job: Job) {
-    let outcome = catch_unwind(AssertUnwindSafe(|| job.reply.send(Ok(()))));
+    let outcome = catch_unwind(AssertUnwindSafe(|| job.reply.complete(Ok(()))));
 }
 fn fine(job: &Job) {
     let outcome = catch_unwind(AssertUnwindSafe(|| backend.step()));
-    job.reply.send(outcome);
+    job.reply.complete(outcome);
 }
 ";
         let f = scan(src);

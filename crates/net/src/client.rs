@@ -2,22 +2,21 @@
 //!
 //! One session is one connection to a [`crate::NetServer`], plus the
 //! state to survive losing it: a pending-map of in-flight requests
-//! (each resolving a [`he_accel::ProductTicket`] or a
-//! [`CompletionSink`]), the session's pinned operands for
-//! re-registration, and a reconnect budget. The contract mirrors the
-//! in-process fleet exactly:
+//! (each holding the [`CompletionSink`] its answer goes to), the
+//! session's pinned operands for re-registration, and a reconnect
+//! budget. The contract mirrors the in-process fleet exactly:
 //!
 //! - **never hang**: any request in flight when the connection dies
 //!   resolves to the typed [`ServeError::Closed`] — the reader thread's
-//!   epoch teardown drops every pending resolver, and dropping *is*
-//!   resolution (`he-accel`'s send-on-drop sinks do the rest);
+//!   epoch teardown drops every pending sink, and dropping *is*
+//!   resolution;
 //! - **reconnect-and-re-register**: the next submission after a
 //!   connection loss dials again and replays every pinned operand
 //!   *before* any new job, so `submit_with` streams keep their
 //!   hash-free, 8-bytes-on-the-wire resolution across server restarts
 //!   and network faults;
-//! - **cancellation propagates**: a cancelled ticket raises the same
-//!   flag as locally; the reader's idle ticks sweep it into a
+//! - **cancellation propagates**: a cancelled job raises its sink's
+//!   flag exactly as locally; the reader's idle ticks sweep it into a
 //!   [`Frame::Cancel`] so the far fleet can drop the job unclaimed.
 
 use std::collections::HashMap;
@@ -28,7 +27,6 @@ use std::time::{Duration, Instant};
 
 use he_accel::{
     CompletionSink, ProductRequest, ProductTicket, ServeError, ServeStats, SubmitError, Submitter,
-    TicketResolver,
 };
 use he_bigint::UBig;
 
@@ -49,8 +47,8 @@ pub struct NetConfig {
     /// Pause between dial attempts.
     pub reconnect_backoff: Duration,
     /// The reader thread's tick period — how often, while idle, it
-    /// sweeps cancelled tickets into [`Frame::Cancel`] messages and
-    /// checks for session close.
+    /// sweeps cancelled jobs into [`Frame::Cancel`] messages and checks
+    /// for session close.
     pub read_poll: Duration,
     /// How long [`NetSession::stats`] and [`NetSession::ping`] wait for
     /// their reply frame.
@@ -71,8 +69,7 @@ impl Default for NetConfig {
 
 /// Where one in-flight request's answer goes.
 enum PendingReply {
-    Ticket(TicketResolver),
-    Sink(CompletionSink),
+    Job(CompletionSink),
     Stats(mpsc::Sender<ServeStats>),
     Pong(mpsc::Sender<()>),
 }
@@ -80,8 +77,7 @@ enum PendingReply {
 impl PendingReply {
     fn resolve(self, outcome: Result<UBig, ServeError>) {
         match self {
-            PendingReply::Ticket(resolver) => resolver.resolve(outcome),
-            PendingReply::Sink(sink) => sink.complete(outcome),
+            PendingReply::Job(sink) => sink.complete(outcome),
             // A stats/ping waiter answered with a job outcome is a
             // server bug; dropping the sender resolves the waiter to
             // `Closed` rather than hanging it.
@@ -209,8 +205,8 @@ impl Shared {
             match write_all(stream, bytes) {
                 Ok(()) => return Ok(()),
                 Err(_) => {
-                    // Take the entry back for the retry; its resolver
-                    // must not die with this epoch. If the reader beat
+                    // Take the entry back for the retry; its sink must
+                    // not die with this epoch. If the reader beat
                     // us to it the request was already answered — the
                     // write failure is moot, report success.
                     if let Some((req_id, _)) = &pending {
@@ -261,7 +257,7 @@ fn write_all(stream: &mut Conn, bytes: &[u8]) -> Result<(), NetError> {
 }
 
 /// One connection epoch's reader: resolves pending entries from answer
-/// frames, sweeps cancelled tickets on idle ticks, and on any
+/// frames, sweeps cancelled jobs on idle ticks, and on any
 /// connection failure tears down **its own epoch** — closing the write
 /// half and resolving the epoch's in-flight requests to
 /// [`ServeError::Closed`] by dropping them.
@@ -284,8 +280,8 @@ fn run_reader(shared: Arc<Shared>, mut conn: Conn, epoch: u64) {
         }
     }
     drop(state);
-    // Dropping the epoch's entries *is* the typed resolution: ticket
-    // resolvers and completion sinks both answer `Closed` from drop.
+    // Dropping the epoch's entries *is* the typed resolution: a sink
+    // answers `Closed` from drop.
     shared
         .lock_pending()
         .retain(|_, entry| entry.epoch != epoch);
@@ -323,7 +319,7 @@ fn dispatch(shared: &Arc<Shared>, frame: Frame) {
     }
 }
 
-/// Forwards [`ProductTicket::cancel`] flags raised since the last tick.
+/// Forwards the cancel flags raised since the last tick.
 fn sweep_cancels(shared: &Arc<Shared>, epoch: u64) {
     let mut raised = Vec::new();
     {
@@ -332,8 +328,8 @@ fn sweep_cancels(shared: &Arc<Shared>, epoch: u64) {
             if entry.epoch != epoch || entry.cancel_sent {
                 continue;
             }
-            if let PendingReply::Ticket(resolver) = &entry.reply {
-                if resolver.is_cancelled() {
+            if let PendingReply::Job(sink) = &entry.reply {
+                if sink.is_cancelled() {
                     entry.cancel_sent = true;
                     raised.push(*req_id);
                 }
@@ -570,40 +566,6 @@ impl NetSession {
             stream.shutdown();
         }
     }
-
-    fn submit_request(
-        &self,
-        request: ProductRequest,
-        make_reply: impl FnOnce() -> (PendingReply, Option<ProductTicket>),
-    ) -> Result<Option<ProductTicket>, SubmitError> {
-        let req_id = self.shared.next_req_id();
-        let (pin_a, pin_b) = request.operand_pins();
-        let (value_a, value_b) = request.operands();
-        let a = match pin_a {
-            Some(pin) => WireOperand::Pinned(pin),
-            None => WireOperand::Inline(value_a.clone()),
-        };
-        let b = match pin_b {
-            Some(pin) => WireOperand::Pinned(pin),
-            None => WireOperand::Inline(value_b.clone()),
-        };
-        let deadline_nanos = request.deadline().map(|deadline| {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            remaining.as_nanos().min(u64::MAX as u128) as u64
-        });
-        let frame = Frame::Submit {
-            req_id,
-            a,
-            b,
-            deadline_nanos,
-        };
-        let bytes = frame.encode();
-        let (reply, ticket) = make_reply();
-        match self.shared.send(&bytes, Some((req_id, reply))) {
-            Ok(()) => Ok(ticket),
-            Err(_) => Err(SubmitError::Closed(request)),
-        }
-    }
 }
 
 impl Drop for Shared {
@@ -617,39 +579,38 @@ impl Drop for Shared {
 }
 
 /// The remote fleet as a [`Submitter`]. Unlike the in-process fleet
-/// there is no bounded client-side queue, so the blocking and
-/// non-blocking flavors coincide: backpressure is the socket's send
-/// buffer plus the server reactor's blocking submission into its pool
-/// (the TCP window closes when the far queue is full).
+/// there is no bounded client-side queue, so `blocking` changes nothing:
+/// backpressure is the socket's send buffer plus the server reactor's
+/// blocking submission into its pool (the TCP window closes when the far
+/// queue is full).
 impl Submitter for NetSession {
-    fn submit(&self, request: ProductRequest) -> Result<ProductTicket, SubmitError> {
-        let outcome = self.submit_request(request, || {
-            let (ticket, resolver) = ProductTicket::remote();
-            (PendingReply::Ticket(resolver), Some(ticket))
-        })?;
-        Ok(outcome.expect("ticket minted by make_reply"))
-    }
-
-    fn try_submit(&self, request: ProductRequest) -> Result<ProductTicket, SubmitError> {
-        self.submit(request)
-    }
-
-    fn submit_into(
+    fn submit_sink(
         &self,
         request: ProductRequest,
         sink: CompletionSink,
+        _blocking: bool,
     ) -> Result<(), SubmitError> {
-        // An error path drops the sink (via the failed entry), which
-        // resolves it `Closed` — same contract as the local pools.
-        self.submit_request(request, move || (PendingReply::Sink(sink), None))?;
-        Ok(())
-    }
-
-    fn try_submit_into(
-        &self,
-        request: ProductRequest,
-        sink: CompletionSink,
-    ) -> Result<(), SubmitError> {
-        self.submit_into(request, sink)
+        let req_id = self.shared.next_req_id();
+        let (pin_a, pin_b) = request.operand_pins();
+        let (value_a, value_b) = request.operands();
+        let wire = |pin: Option<u64>, value: &UBig| match pin {
+            Some(pin) => WireOperand::Pinned(pin),
+            None => WireOperand::Inline(value.clone()),
+        };
+        let deadline_nanos = request.deadline().map(|deadline| {
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            remaining.as_nanos().min(u64::MAX as u128) as u64
+        });
+        let frame = Frame::Submit {
+            req_id,
+            a: wire(pin_a, value_a),
+            b: wire(pin_b, value_b),
+            deadline_nanos,
+        };
+        // A failed send drops the entry, and with it the sink — which
+        // resolves `Closed`, same contract as the local pool.
+        self.shared
+            .send(&frame.encode(), Some((req_id, PendingReply::Job(sink))))
+            .map_err(|_| SubmitError::Closed(request))
     }
 }

@@ -1,14 +1,14 @@
 //! [`NetServer`] — the serving fleet behind a socket.
 //!
 //! One server owns one [`ServerPool`] and one listener (TCP or Unix).
-//! Each accepted connection gets the PR 5 single-reactor treatment,
-//! doubled: a **reader** thread that decodes frames and submits jobs
-//! into the pool through its own [`ClientSession`], and a **writer**
-//! thread that drains a [`CompletionReceiver`] — the owned flip side of
-//! the [`he_accel::CompletionQueue`] pattern — turning every completion
-//! into a [`Frame::Product`] or typed [`Frame::Failure`]. Between them
-//! the card fleet never blocks on the socket and the socket never
-//! blocks on the fleet.
+//! Each accepted connection gets two reactor threads: a **reader** that
+//! decodes frames and submits jobs into the pool through its own
+//! [`ClientSession`], and a **writer** that drains a
+//! [`CompletionReceiver`] — the owned flip side of the
+//! [`he_accel::CompletionQueue`] pattern — turning every completion into
+//! a [`Frame::Product`] or typed [`Frame::Failure`]. Between them the
+//! card fleet never blocks on the socket and the socket never blocks on
+//! the fleet.
 //!
 //! Pin ids are **per-connection**: the reader maps each wire pin onto a
 //! pool-global registration via its session, so two clients can use the
@@ -24,7 +24,7 @@ use std::time::Duration;
 
 use he_accel::{
     completion_channel, CancelHandle, ClientSession, CompletionMint, PoolStats, ProductRequest,
-    ServerPool,
+    ServerPool, Submitter,
 };
 
 use crate::sock::{read_frame, Conn, Endpoint, Listener, ReadEvent};
@@ -348,11 +348,13 @@ fn run_conn_reader(
                     Some(nanos) => request.with_deadline(Duration::from_nanos(nanos)),
                     None => request,
                 };
-                // The error path drops the sink, which already queued a
-                // `Closed` completion for the writer.
-                if let Ok(handle) = session.submit_into_cancellable(request, mint.sink(req_id)) {
-                    lock(&cancels).insert(req_id, handle);
-                }
+                // The handle goes in first so the writer's removal cannot
+                // outrun it. A refused submission drops the sink, which
+                // queues a `Closed` completion for the writer like any
+                // other answer.
+                let sink = mint.sink(req_id);
+                lock(&cancels).insert(req_id, sink.cancel_handle());
+                let _ = session.submit_into(request, sink);
             }
             Frame::Register { pin, operand } => {
                 let name = pin.to_string();

@@ -2,8 +2,8 @@
 //! one accelerator card — pull deadline-aware micro-batches from one
 //! shared queue.
 //!
-//! Where `server_stream.rs` runs the single-card [`ProductServer`], this
-//! walkthrough spawns a [`ServerPool`]: the same submit/await surface, but
+//! Where `server_stream.rs` runs a [`ServerPool`] of one card, this
+//! walkthrough spawns several: the same submit/await surface, but
 //! flushes are claimed by whichever card frees up first, urgent deadlines
 //! are claimed earliest-deadline-first (so an overload expires the fewest
 //! possible jobs), and a speculative preparer transforms the stream-side
@@ -40,7 +40,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             max_batch: 8,
             max_delay: Duration::from_millis(2),
             cache_capacity: 64,
-            speculate_hot_after: 1,
             ..ServeConfig::default()
         },
     );

@@ -35,8 +35,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
 
     println!("spawning a resident server ({bits}-bit operands, micro-batches of 8)…");
-    let server = ProductServer::spawn(
-        EvalEngine::new(SsaSoftware::for_operand_bits(bits)?),
+    let server = ServerPool::spawn(
+        vec![EvalEngine::new(SsaSoftware::for_operand_bits(bits)?)],
         ServeConfig {
             queue_capacity: 16,
             max_batch: 8,
@@ -101,7 +101,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("backpressure demo: {accepted} accepted, {shed} shed without blocking");
 
-    let stats = server.shutdown();
+    let stats = server.shutdown().total();
     assert_eq!(
         stats.shed, shed as u64,
         "every rejected try_submit is accounted in the stats"

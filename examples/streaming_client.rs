@@ -34,8 +34,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
 
     println!("spawning a resident server ({bits}-bit operands, micro-batches of 8)…");
-    let server = ProductServer::spawn(
-        EvalEngine::new(SsaSoftware::for_operand_bits(bits)?),
+    let server = ServerPool::spawn(
+        vec![EvalEngine::new(SsaSoftware::for_operand_bits(bits)?)],
         ServeConfig {
             queue_capacity: 32,
             max_batch: 8,
@@ -101,7 +101,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     withdrawn.cancel();
     println!("cancel demo: a queued job was withdrawn (dropped at claim time if not yet running)");
 
-    let stats = server.shutdown();
+    let stats = server.shutdown().total();
     println!(
         "\nserver lifetime: {} flushes (largest {}), {} completed, {} cancelled, \
          {} pinned hits (hash-free), digest cache {} hits / {} misses",

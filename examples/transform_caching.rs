@@ -6,8 +6,8 @@
 //!
 //! This walkthrough manages handles and batches by hand to expose the
 //! mechanism; `examples/server_stream.rs` shows the production shape,
-//! where a resident [`ProductServer`] does the batching and handle
-//! caching behind a submit/await queue.
+//! where a resident [`ServerPool`] does the batching and handle caching
+//! behind a submit/await queue.
 //!
 //! Run with: `cargo run --release --example transform_caching`
 

@@ -255,3 +255,80 @@ fn fleet_outlives_a_permanently_faulty_card() {
         "card 0 was rebuilt at least once before retiring"
     );
 }
+
+/// The seeded storm of a periodically faulty card, on the only card of
+/// the fleet so the schedule is certain to fire: under this seed every
+/// life of the card (the counter restarts with each rebuild) returns a
+/// transient device error on its second flush and dies on its fifth.
+fn storm_card(_card: usize) -> EvalEngine<FaultyMultiplier<SsaSoftware>> {
+    EvalEngine::new(FaultyMultiplier::new(
+        SsaSoftware::for_operand_bits(1_000).unwrap(),
+        FaultPlan::new(20_160_314).panic_every(5).error_every(7),
+    ))
+}
+
+/// Rides the recurring-operand × fresh-stream traffic shape through
+/// `pool`. Returns (products answered bit-exactly, `Closed` answers,
+/// whether intake still works afterwards, final stats); every ticket
+/// resolves one way or another, or this hangs.
+fn ride_out_the_storm(pool: ServerPool) -> (usize, usize, bool, PoolStats) {
+    let fixed = UBig::from(0x5eed_2016u64);
+    let stream: Vec<UBig> = (0..16u64).map(|k| UBig::from(1 + k * 7919)).collect();
+    let tickets: Vec<ProductTicket> = stream
+        .iter()
+        .filter_map(|b| {
+            pool.submit(ProductRequest::new(fixed.clone(), b.clone()))
+                .ok()
+        })
+        .collect();
+    let (mut exact, mut closed) = (0, 0);
+    for (b, ticket) in stream.iter().zip(tickets) {
+        match ticket.wait() {
+            Ok(product) => {
+                assert_eq!(product, &fixed * b, "completions must stay bit-exact");
+                exact += 1;
+            }
+            Err(ServeError::Closed) => closed += 1,
+            Err(_) => {}
+        }
+    }
+    let intake_open = pool
+        .submit(ProductRequest::new(UBig::from(3u64), UBig::from(4u64)))
+        .is_ok_and(|ticket| ticket.wait().is_ok());
+    (exact, closed, intake_open, pool.shutdown())
+}
+
+#[test]
+fn supervision_rides_out_a_seeded_storm_that_kills_a_bare_fleet() {
+    let config = ServeConfig {
+        queue_capacity: 64,
+        max_batch: 4,
+        max_delay: Duration::from_millis(1),
+        retry_limit: 6,
+        // The card is *periodically* faulty by design: supervision keeps
+        // rebuilding it rather than retiring it.
+        restart_cap: 64,
+        restart_backoff: Duration::from_millis(1),
+        ..ServeConfig::default()
+    };
+    let supervised = ServerPool::with_backend_factory(1, storm_card, config);
+    let (exact, closed, intake_open, stats) = ride_out_the_storm(supervised);
+    assert_eq!(exact, 16, "a supervised fleet resolves 100% of tickets");
+    assert_eq!(closed, 0, "zero Closed errors under supervision");
+    assert!(intake_open, "intake must stay open after the storm");
+    let total = stats.total();
+    assert!(
+        total.restarts >= 1 && total.retried >= 1,
+        "the fault plan must actually have hit the card: {total:?}"
+    );
+    assert_eq!(stats.health, vec![CardHealth::Live]);
+
+    // The same storm with nothing to rebuild from: the first death is
+    // permanent, and the fleet answers `Closed` instead of serving on.
+    let bare = ServerPool::spawn(vec![storm_card(0)], config);
+    let (exact, closed, intake_open, stats) = ride_out_the_storm(bare);
+    assert!(exact < 16 && closed > 0, "{exact} exact, {closed} closed");
+    assert!(!intake_open);
+    assert_eq!(stats.total().restarts, 0);
+    assert_eq!(stats.health, vec![CardHealth::Dead]);
+}

@@ -347,7 +347,6 @@ fn speculative_fleet_stays_bit_exact() {
         ServeConfig {
             max_batch: 4,
             max_delay: Duration::from_millis(2),
-            speculate_hot_after: 1,
             ..ServeConfig::default()
         },
     );

@@ -33,8 +33,8 @@ proptest! {
         reuse_fixed in proptest::collection::vec(any::<bool>(), 24),
     ) {
         let backend = SsaSoftware::for_operand_bits(1_500).unwrap();
-        let server = ProductServer::spawn(
-            EvalEngine::new(backend.clone()),
+        let server = ServerPool::spawn(
+            vec![EvalEngine::new(backend.clone())],
             ServeConfig {
                 max_batch,
                 max_delay: Duration::from_millis(1),
@@ -55,7 +55,7 @@ proptest! {
             let expected = backend.multiply(a, b).unwrap();
             prop_assert_eq!(ticket.wait().expect("served"), expected);
         }
-        let stats = server.shutdown();
+        let stats = server.shutdown().total();
         prop_assert_eq!(stats.completed as usize, stream.len());
         prop_assert_eq!(stats.failed + stats.expired(), 0);
     }
@@ -63,8 +63,10 @@ proptest! {
 
 #[test]
 fn deadline_expiry_is_typed_and_batch_mates_survive() {
-    let server = ProductServer::spawn(
-        EvalEngine::new(SsaSoftware::for_operand_bits(1_000).unwrap()),
+    let server = ServerPool::spawn(
+        vec![EvalEngine::new(
+            SsaSoftware::for_operand_bits(1_000).unwrap(),
+        )],
         ServeConfig {
             max_batch: 8,
             max_delay: Duration::from_millis(20),
@@ -90,7 +92,7 @@ fn deadline_expiry_is_typed_and_batch_mates_survive() {
     for (k, ticket) in (2..6u64).zip(survivors) {
         assert_eq!(ticket.wait().unwrap(), UBig::from(k * (k + 1)));
     }
-    let stats = server.shutdown();
+    let stats = server.shutdown().total();
     assert_eq!(
         stats.expired_in_queue, 1,
         "a zero deadline expires in the queue"
@@ -136,8 +138,8 @@ fn try_submit_sheds_when_the_bounded_queue_is_full() {
         entered: Mutex::new(entered_tx),
         release: Mutex::new(release_rx),
     };
-    let server = ProductServer::spawn(
-        EvalEngine::new(backend),
+    let server = ServerPool::spawn(
+        vec![EvalEngine::new(backend)],
         ServeConfig {
             queue_capacity: 2,
             max_batch: 1,
@@ -179,7 +181,7 @@ fn try_submit_sheds_when_the_bounded_queue_is_full() {
     let _ = release_tx.send(());
     let retried = server.try_submit(rejected).expect("queue drained");
     assert_eq!(retried.wait().unwrap(), UBig::from(81u64));
-    let stats = server.shutdown();
+    let stats = server.shutdown().total();
     // Shed load is accounted, not silently vanished: exactly the one
     // rejected try_submit above.
     assert_eq!(stats.shed, 1, "stats: {stats:?}");
@@ -197,8 +199,8 @@ fn backlogged_jobs_still_ride_full_micro_batches() {
         entered: Mutex::new(entered_tx),
         release: Mutex::new(release_rx),
     };
-    let server = ProductServer::spawn(
-        EvalEngine::new(backend),
+    let server = ServerPool::spawn(
+        vec![EvalEngine::new(backend)],
         ServeConfig {
             queue_capacity: 8,
             max_batch: 8,
@@ -226,7 +228,7 @@ fn backlogged_jobs_still_ride_full_micro_batches() {
     for (k, ticket) in (4..8u64).zip(backlog) {
         assert_eq!(ticket.wait().unwrap(), UBig::from(k * k));
     }
-    let stats = server.shutdown();
+    let stats = server.shutdown().total();
     assert!(
         stats.largest_flush >= 4,
         "the 4-job backlog must flush together, got largest flush of {}",
@@ -242,8 +244,10 @@ fn circuit_levels_through_the_server_match_a_classical_backend() {
     let mut rng = StdRng::seed_from_u64(2016);
     let keys = KeyPair::generate(DghvParams::tiny(), &mut rng).unwrap();
     let gamma = keys.public().params().gamma;
-    let server = ProductServer::spawn(
-        EvalEngine::new(SsaSoftware::for_operand_bits(gamma as usize).unwrap()),
+    let server = ServerPool::spawn(
+        vec![EvalEngine::new(
+            SsaSoftware::for_operand_bits(gamma as usize).unwrap(),
+        )],
         ServeConfig {
             max_batch: 8,
             max_delay: Duration::from_millis(1),
@@ -277,11 +281,104 @@ fn circuit_levels_through_the_server_match_a_classical_backend() {
         let lt = eval.less_than(&ex, &ey, &mut rng).unwrap();
         assert_eq!(keys.secret().decrypt(&lt), x < y, "{x} < {y}");
     }
-    let stats = server.shutdown();
+    let stats = server.shutdown().total();
     assert!(stats.completed > 0);
     assert!(
         stats.largest_flush > 1,
         "circuit levels must micro-batch, got flushes of at most {}",
         stats.largest_flush
+    );
+}
+
+/// A serving front written against the public surface alone: it
+/// implements the one required [`Submitter`] method — answering each job
+/// on the spot with the schoolbook product, shedding when told it is
+/// full — and nothing else.
+struct InlineFront {
+    full: bool,
+}
+
+impl Submitter for InlineFront {
+    fn submit_sink(
+        &self,
+        request: ProductRequest,
+        sink: CompletionSink,
+        blocking: bool,
+    ) -> Result<(), SubmitError> {
+        if self.full && !blocking {
+            return Err(SubmitError::Full(request));
+        }
+        let (a, b) = request.operands();
+        sink.complete(Ok(a.mul_schoolbook(b)));
+        Ok(())
+    }
+}
+
+#[test]
+fn one_required_method_carries_every_submission_flavor() {
+    let front = InlineFront { full: false };
+    let request = |a: u64, b: u64| ProductRequest::new(UBig::from(a), UBig::from(b));
+
+    // Tickets, blocking and not.
+    assert_eq!(
+        front.submit(request(6, 7)).unwrap().wait().unwrap(),
+        UBig::from(42u64)
+    );
+    let mut polled = front.try_submit(request(3, 5)).unwrap();
+    assert_eq!(polled.try_wait(), Some(Ok(UBig::from(15u64))));
+    // Shedding hands the request back; blocking submission does not shed.
+    let full = InlineFront { full: true };
+    match full.try_submit(request(9, 9)) {
+        Err(SubmitError::Full(rejected)) => {
+            assert_eq!(rejected.operands(), (&UBig::from(9u64), &UBig::from(9u64)));
+        }
+        other => panic!("expected Full, got {other:?}"),
+    }
+    assert_eq!(
+        full.submit(request(9, 9)).unwrap().wait().unwrap(),
+        UBig::from(81u64)
+    );
+
+    // A completion queue, tags and all.
+    let mut queue: CompletionQueue<'_, InlineFront, u64> = CompletionQueue::new(&front);
+    for k in 2..6u64 {
+        queue
+            .submit_tagged(request(k, k), k)
+            .map_err(|(e, _)| e)
+            .unwrap();
+    }
+    match CompletionQueue::new(&full).try_submit_tagged(request(1, 1), "tag") {
+        Err((SubmitError::Full(_), "tag")) => {}
+        other => panic!("expected the tag back with Full, got {other:?}"),
+    }
+    assert_eq!(queue.in_flight(), 4);
+    let done = queue.drain();
+    assert_eq!(done.len(), 4);
+    for completion in done {
+        assert_eq!(
+            completion.result.unwrap(),
+            UBig::from(completion.tag * completion.tag)
+        );
+    }
+
+    // The caller's own sinks.
+    let (mint, receiver) = completion_channel();
+    front.submit_into(request(2, 3), mint.sink(23)).unwrap();
+    assert!(matches!(
+        full.try_submit_into(request(2, 3), mint.sink(24)),
+        Err(SubmitError::Full(_))
+    ));
+    assert_eq!(receiver.recv(), Some((23, Ok(UBig::from(6u64)))));
+    // The refused sink was dropped unanswered: typed, not lost.
+    assert_eq!(receiver.recv(), Some((24, Err(ServeError::Closed))));
+
+    // A DGHV backend.
+    use he_accel::dghv::CiphertextMultiplier;
+    let served = ServedMultiplier::new(&front);
+    let (x, y) = (UBig::from(11u64), UBig::from(13u64));
+    assert_eq!(served.multiply(&x, &y), UBig::from(143u64));
+    assert_eq!(
+        served.multiply_pairs(&[(&x, &y), (&y, &y)]),
+        vec![UBig::from(143u64), UBig::from(169u64)]
     );
 }

@@ -20,9 +20,11 @@ fn arb_operand(max_bits: usize) -> impl Strategy<Value = UBig> {
     proptest::collection::vec(any::<u8>(), 0..=max_bits / 8).prop_map(|b| UBig::from_le_bytes(&b))
 }
 
-fn small_server(max_batch: usize, bits: usize) -> ProductServer {
-    ProductServer::spawn(
-        EvalEngine::new(SsaSoftware::for_operand_bits(bits).unwrap()),
+fn small_server(max_batch: usize, bits: usize) -> ServerPool {
+    ServerPool::spawn(
+        vec![EvalEngine::new(
+            SsaSoftware::for_operand_bits(bits).unwrap(),
+        )],
         ServeConfig {
             max_batch,
             max_delay: Duration::from_millis(1),
@@ -128,8 +130,8 @@ fn dead_fleet_resolves_every_wait_flavor_to_closed() {
     // then the card dies — job 0's sender drops in the unwind, jobs 1
     // and 2 are orphaned in the queue and dropped by the dying card.
     let (backend, entered_rx, release_tx) = DyingBackend::new();
-    let server = ProductServer::spawn(
-        EvalEngine::new(backend),
+    let server = ServerPool::spawn(
+        vec![EvalEngine::new(backend)],
         ServeConfig {
             max_batch: 1,
             max_delay: Duration::ZERO,
@@ -194,8 +196,8 @@ fn dead_fleet_resolves_every_wait_flavor_to_closed() {
 #[test]
 fn completion_queue_resolves_to_closed_on_a_dead_fleet() {
     let (backend, entered_rx, release_tx) = DyingBackend::new();
-    let server = ProductServer::spawn(
-        EvalEngine::new(backend),
+    let server = ServerPool::spawn(
+        vec![EvalEngine::new(backend)],
         ServeConfig {
             max_batch: 1,
             max_delay: Duration::ZERO,
@@ -238,8 +240,8 @@ fn completion_queue_resolves_to_closed_on_a_dead_fleet() {
 #[test]
 fn wait_timeout_returns_none_while_the_job_is_held() {
     let (backend, entered_rx, release_tx) = GatedBackend::new();
-    let server = ProductServer::spawn(
-        EvalEngine::new(backend),
+    let server = ServerPool::spawn(
+        vec![EvalEngine::new(backend)],
         ServeConfig {
             max_batch: 1,
             max_delay: Duration::ZERO,
@@ -275,8 +277,8 @@ proptest! {
         max_batch in 1usize..5,
     ) {
         let backend = SsaSoftware::for_operand_bits(1_200).unwrap();
-        let server = ProductServer::spawn(
-            EvalEngine::new(backend.clone()),
+        let server = ServerPool::spawn(
+            vec![EvalEngine::new(backend.clone())],
             ServeConfig {
                 queue_capacity: 4,
                 max_batch,
@@ -304,7 +306,7 @@ proptest! {
             let expected = backend.multiply(&b, &b).unwrap();
             prop_assert_eq!(ticket.wait().expect("served"), expected);
         }
-        let stats = server.shutdown();
+        let stats = server.shutdown().total();
         // A cancel either landed before its claim (cancelled) or lost
         // the race and ran (completed); nothing vanishes either way.
         prop_assert_eq!(stats.completed + stats.cancelled, stream.len() as u64);
@@ -324,7 +326,7 @@ proptest! {
     ) {
         let backend = SsaSoftware::for_operand_bits(1_200).unwrap();
         let server = small_server(max_batch, 1_200);
-        let mut queue: CompletionQueue<'_, ProductServer, usize> = CompletionQueue::new(&server);
+        let mut queue: CompletionQueue<'_, ServerPool, usize> = CompletionQueue::new(&server);
         let mut next = 0usize;
         let mut served = 0usize;
         while next < stream.len() && queue.in_flight() < window {
@@ -354,7 +356,7 @@ proptest! {
         }
         prop_assert_eq!(served, stream.len());
         prop_assert_eq!(queue.in_flight(), 0);
-        let stats = server.shutdown();
+        let stats = server.shutdown().total();
         prop_assert_eq!(stats.completed as usize, stream.len());
     }
 
@@ -379,7 +381,7 @@ proptest! {
             let expected = backend.multiply(&fixed, b).unwrap();
             prop_assert_eq!(ticket.wait().expect("served"), expected);
         }
-        let stats = server.shutdown();
+        let stats = server.shutdown().total();
         prop_assert_eq!(stats.completed as usize, stream.len());
         // Every sighting after the pin's preparation is a pinned hit —
         // at least stream.len() - 1 of them, however flushes split.
@@ -400,7 +402,7 @@ fn both_pinned_products_reach_the_both_cached_rung_without_hashing() {
     for ticket in tickets {
         assert_eq!(ticket.wait().unwrap(), &a * &b);
     }
-    let stats = server.shutdown();
+    let stats = server.shutdown().total();
     assert_eq!(stats.completed, 6);
     // Twelve operand sightings, two lazy preparations, zero digest
     // traffic: the digest cache never saw these jobs at all.
@@ -414,8 +416,10 @@ fn pin_store_eviction_stays_correct_under_register_churn() {
     // evicts least-recently-used pins and lazily re-prepares them on
     // their next flush — products stay bit-exact throughout, and memory
     // stays bounded by construction.
-    let server = ProductServer::spawn(
-        EvalEngine::new(SsaSoftware::for_operand_bits(2_000).unwrap()),
+    let server = ServerPool::spawn(
+        vec![EvalEngine::new(
+            SsaSoftware::for_operand_bits(2_000).unwrap(),
+        )],
         ServeConfig {
             max_batch: 2,
             max_delay: Duration::from_millis(1),
@@ -436,7 +440,7 @@ fn pin_store_eviction_stays_correct_under_register_churn() {
             assert_eq!(ticket.wait().unwrap(), op * &UBig::from(round * 7 + 3));
         }
     }
-    let stats = server.shutdown();
+    let stats = server.shutdown().total();
     assert_eq!(stats.completed, 12);
     assert_eq!(stats.failed + stats.expired(), 0);
 }
@@ -449,8 +453,10 @@ fn dghv_circuits_ride_a_client_session() {
     let mut rng = StdRng::seed_from_u64(5016);
     let keys = KeyPair::generate(DghvParams::tiny(), &mut rng).unwrap();
     let gamma = keys.public().params().gamma;
-    let server = ProductServer::spawn(
-        EvalEngine::new(SsaSoftware::for_operand_bits(gamma as usize).unwrap()),
+    let server = ServerPool::spawn(
+        vec![EvalEngine::new(
+            SsaSoftware::for_operand_bits(gamma as usize).unwrap(),
+        )],
         ServeConfig {
             max_batch: 8,
             max_delay: Duration::from_millis(1),
@@ -471,7 +477,7 @@ fn dghv_circuits_ride_a_client_session() {
             "AND-tree of {value:#05b}"
         );
     }
-    let stats = server.shutdown();
+    let stats = server.shutdown().total();
     assert!(stats.completed > 0);
 }
 
