@@ -1,10 +1,10 @@
-//! Radix ablation (DESIGN.md §8.3): the paper's mixed-radix decomposition
-//! vs the conventional radix-2 transform, at the 64K design point and
-//! below.
+//! Radix ablation (DESIGN.md §8.3): the radix-2^k production engine vs the
+//! conventional layer-at-a-time radix-2 oracle, at the 64K design point and
+//! below, then the engine on one thread vs all cores.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use he_field::Fp;
-use he_ntt::{par, MixedRadixPlan, Ntt64k, NttScratch, Radix2Plan, SixStepPlan, N64K};
+use he_ntt::{par, Radix2Plan, Radix2kPlan, N64K};
 
 fn input(n: usize) -> Vec<Fp> {
     (0..n as u64)
@@ -16,75 +16,39 @@ fn bench_radix(c: &mut Criterion) {
     let mut group = c.benchmark_group("ntt_radix");
     group.sample_size(10);
 
-    for n in [4096usize, 65_536] {
-        let data = input(n);
+    for n in [4096usize, N64K] {
+        let mut buf = input(n);
         let radix2 = Radix2Plan::new(n).expect("power of two");
-        group.bench_with_input(BenchmarkId::new("radix2", n), &data, |b, d| {
-            b.iter(|| radix2.forward(d))
+        group.bench_function(BenchmarkId::new("radix2", n), |b| {
+            b.iter(|| radix2.forward_in_place(&mut buf))
         });
-        let radices: &[usize] = if n == 4096 { &[64, 64] } else { &[64, 64, 16] };
-        let mixed = MixedRadixPlan::new(radices).expect("valid plan");
-        group.bench_with_input(BenchmarkId::new("mixed64", n), &data, |b, d| {
-            b.iter(|| mixed.forward(d))
-        });
-        let (n1, n2) = if n == 4096 { (64, 64) } else { (256, 256) };
-        let sixstep = SixStepPlan::new(n1, n2).expect("valid plan");
-        group.bench_with_input(BenchmarkId::new("sixstep", n), &data, |b, d| {
-            b.iter(|| sixstep.forward(d))
+        let radix2k = Radix2kPlan::new(n).expect("power of two");
+        group.bench_function(BenchmarkId::new("radix2k", n), |b| {
+            b.iter(|| radix2k.forward_in_place(&mut buf))
         });
     }
-
-    // The specialized three-stage 64K plan (precomputed tables).
-    let data = input(N64K);
-    let plan = Ntt64k::new();
-    group.bench_with_input(BenchmarkId::new("plan64k", N64K), &data, |b, d| {
-        b.iter(|| plan.forward(d))
-    });
     group.finish();
 }
 
-/// The PR's before/after story at the 64K design point: the allocating
-/// single-thread path vs the in-place scratch path, single-thread and
-/// with the multi-core stage fan-out.
-fn bench_inplace_parallel(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ntt64k_inplace");
+/// The stage fan-out at the 64K design point: the engine pinned to one
+/// thread vs the machine default.
+fn bench_threads(c: &mut Criterion) {
+    let mut group = c.benchmark_group("ntt64k_threads");
     group.sample_size(10);
 
-    let data = input(N64K);
-    let plan = Ntt64k::new();
-
+    let mut buf = input(N64K);
+    let plan = Radix2kPlan::new(N64K).expect("power of two");
     par::set_threads(1);
-    group.bench_with_input(BenchmarkId::new("alloc_1thread", N64K), &data, |b, d| {
-        b.iter(|| plan.forward(d))
-    });
-    let mut scratch = NttScratch::new();
-    let mut buf = data.clone();
-    group.bench_with_input(BenchmarkId::new("into_1thread", N64K), &data, |b, _| {
-        b.iter(|| plan.forward_into(&mut buf, &mut scratch))
+    group.bench_function(BenchmarkId::new("radix2k_1thread", N64K), |b| {
+        b.iter(|| plan.forward_in_place(&mut buf))
     });
     par::set_threads(0); // machine default: all cores
-    group.bench_with_input(
-        BenchmarkId::new(format!("into_{}threads", par::thread_count()), N64K),
-        &data,
-        |b, _| b.iter(|| plan.forward_into(&mut buf, &mut scratch)),
-    );
-
-    // The six-step plan gets the same treatment (it shares the fan-out).
-    let six = SixStepPlan::square_64k();
-    par::set_threads(1);
-    group.bench_with_input(
-        BenchmarkId::new("sixstep_into_1thread", N64K),
-        &data,
-        |b, _| b.iter(|| six.forward_into(&mut buf, &mut scratch)),
-    );
-    par::set_threads(0);
-    group.bench_with_input(
-        BenchmarkId::new(format!("sixstep_into_{}threads", par::thread_count()), N64K),
-        &data,
-        |b, _| b.iter(|| six.forward_into(&mut buf, &mut scratch)),
+    group.bench_function(
+        BenchmarkId::new(format!("radix2k_{}threads", par::thread_count()), N64K),
+        |b| b.iter(|| plan.forward_in_place(&mut buf)),
     );
     group.finish();
 }
 
-criterion_group!(benches, bench_radix, bench_inplace_parallel);
+criterion_group!(benches, bench_radix, bench_threads);
 criterion_main!(benches);

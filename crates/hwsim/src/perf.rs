@@ -220,6 +220,18 @@ mod tests {
     use super::*;
 
     #[test]
+    fn paper_operation_census() {
+        // Eq. 2's hardware plan: two stages of 1024 FFT-64s and one of 4096
+        // FFT-16s, each stage covering all 64K points once. (The third
+        // figure of the census, 2·64K inter-stage twiddle multiplies, is
+        // counted on a simulated run by `distributed::tests::twiddle_mul_census`.)
+        assert_eq!(2 * FFT64_PER_STAGE, 2048);
+        assert_eq!(FFT16_PER_STAGE, 4096);
+        assert_eq!(FFT64_PER_STAGE * 64, N64K as u64);
+        assert_eq!(FFT16_PER_STAGE * 16, N64K as u64);
+    }
+
+    #[test]
     fn paper_fft_time() {
         let m = PerfModel::new(AcceleratorConfig::paper());
         // 2·(8·1024)/4 = 4096 cycles = 20480 ns; (2·4096)/4 = 2048 = 10240 ns.

@@ -13,3 +13,11 @@ pub fn held_across_multiply(state: &Mutex<State>, engine: &Engine, jobs: &[Job])
     engine.multiply_batch(jobs);
     drop(state);
 }
+
+// BAD: the production engine's own entry point — `Radix2kPlan` transforms
+// in place, and a guard held across it serializes every card just the same.
+pub fn held_across_in_place_transform(pool: &Mutex<Vec<Scratch>>, plan: &Radix2kPlan, data: &mut [u64]) {
+    let guard = pool.lock().unwrap();
+    plan.forward_in_place(data);
+    drop(guard);
+}

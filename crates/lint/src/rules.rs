@@ -6,8 +6,8 @@
 //!
 //! - `lock-discipline` (PR 2): a mutex guard's live range may not span a
 //!   call into a transform/multiply entry point. The scratch-pool design
-//!   holds locks only for pop/push; holding one across `forward_into` or
-//!   `multiply_batch` serializes the whole fleet on one card's product.
+//!   holds locks only for pop/push; holding one across `forward_in_place`
+//!   or `multiply_batch` serializes the whole fleet on one card's product.
 //! - `panic-path` (PR 6): inside `// lint: supervisor` regions — the serve
 //!   worker loop, flush stages and restart logic — no `unwrap`/`expect`/
 //!   `panic!`/slice indexing. `catch_unwind` protects flushes from a dying
@@ -160,7 +160,13 @@ fn is_entry_point(name: &str) -> bool {
         || name.starts_with("convolve")
         || matches!(
             name,
-            "forward_into" | "inverse_into" | "prepare" | "prepare_many"
+            "forward_into"
+                | "inverse_into"
+                | "forward_in_place"
+                | "inverse_in_place"
+                | "transform_in_place"
+                | "prepare"
+                | "prepare_many"
         )
 }
 
@@ -673,6 +679,9 @@ mod tests {
         assert!(is_entry_point("multiply_batch"));
         assert!(is_entry_point("convolve_into"));
         assert!(is_entry_point("forward_into"));
+        assert!(is_entry_point("forward_in_place"));
+        assert!(is_entry_point("inverse_in_place"));
+        assert!(is_entry_point("transform_in_place"));
         assert!(!is_entry_point("operands"));
         assert!(!is_entry_point("eligible"));
     }

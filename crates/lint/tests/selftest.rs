@@ -61,6 +61,9 @@ fn assert_clean(name: &str) {
 #[test]
 fn lock_discipline_fixture_fires_exactly() {
     assert_exactly("lock_discipline_bad.rs", "lock-discipline");
+    // One finding per BAD function: `forward_into`, `multiply_batch`, and
+    // the engine's own `forward_in_place`.
+    assert_eq!(scan_fixture("lock_discipline_bad.rs").len(), 3);
 }
 
 #[test]

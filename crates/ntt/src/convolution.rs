@@ -1,13 +1,10 @@
-//! Cyclic convolution via the convolution theorem — the core of
-//! Schönhage–Strassen multiplication ("compute `C = A·B` component-wise,
-//! which can be easily parallelized", paper Section III).
+//! The pointwise phase of a cyclic convolution via the convolution theorem
+//! — the core of Schönhage–Strassen multiplication ("compute `C = A·B`
+//! component-wise, which can be easily parallelized", paper Section III).
+//! The transforms on either side of it are [`crate::Radix2kPlan`]'s; the
+//! full product dataflow is `he-ssa`'s kernel.
 
 use he_field::Fp;
-
-use crate::error::NttError;
-use crate::plan64k::{Ntt64k, N64K};
-use crate::radix2k::Radix2kPlan;
-use crate::scratch::NttScratch;
 
 /// Pointwise product of two equal-length spectra (the accelerator's
 /// dot-product phase, `T_DOTPROD` in Section V).
@@ -30,106 +27,5 @@ pub fn pointwise_assign(a: &mut [Fp], b: &[Fp]) {
     assert_eq!(a.len(), b.len(), "pointwise product requires equal lengths");
     for (x, &y) in a.iter_mut().zip(b) {
         *x *= y;
-    }
-}
-
-/// Cyclic convolution of two 64K-point sequences using the paper's
-/// three-stage transform.
-///
-/// Thin allocating wrapper over [`cyclic_convolve_64k_into`].
-///
-/// # Panics
-///
-/// Panics if either input is not 65,536 points.
-pub fn cyclic_convolve_64k(plan: &Ntt64k, a: &[Fp], b: &[Fp]) -> Vec<Fp> {
-    let mut out = a.to_vec();
-    cyclic_convolve_64k_into(plan, &mut out, b, &mut NttScratch::new());
-    out
-}
-
-/// Cyclic convolution `a ← a ⊛ b` computed in place: two forward
-/// transforms, a pointwise product and an inverse transform, all staged in
-/// `scratch` — the exact accelerator dataflow, allocation-free once the
-/// scratch is warm.
-///
-/// # Panics
-///
-/// Panics if either buffer is not 65,536 points.
-pub fn cyclic_convolve_64k_into(plan: &Ntt64k, a: &mut [Fp], b: &[Fp], scratch: &mut NttScratch) {
-    assert_eq!(a.len(), N64K);
-    assert_eq!(b.len(), N64K);
-    plan.forward_into(a, scratch);
-    let mut fb = scratch.take_any(N64K);
-    fb.copy_from_slice(b);
-    plan.forward_into(&mut fb, scratch);
-    pointwise_assign(a, &fb);
-    scratch.put(fb);
-    plan.inverse_into(a, scratch);
-}
-
-/// Cyclic convolution of two power-of-two-length sequences via radix-2^k
-/// transforms (used for non-64K SSA parameter sets).
-///
-/// # Errors
-///
-/// Returns [`NttError::UnsupportedSize`] if the length is not a supported
-/// power of two, or [`NttError::LengthMismatch`] if the lengths differ.
-pub fn cyclic_convolve_pow2(a: &[Fp], b: &[Fp]) -> Result<Vec<Fp>, NttError> {
-    if a.len() != b.len() {
-        return Err(NttError::LengthMismatch {
-            expected: a.len(),
-            actual: b.len(),
-        });
-    }
-    let plan = Radix2kPlan::new(a.len())?;
-    let fa = plan.forward(a);
-    let fb = plan.forward(b);
-    Ok(plan.inverse(&pointwise(&fa, &fb)))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::naive;
-
-    #[test]
-    fn pow2_convolution_matches_naive() {
-        let n = 64;
-        let a: Vec<Fp> = (0..n as u64).map(|i| Fp::new(i + 1)).collect();
-        let b: Vec<Fp> = (0..n as u64).map(|i| Fp::new(2 * i + 3)).collect();
-        assert_eq!(
-            cyclic_convolve_pow2(&a, &b).unwrap(),
-            naive::cyclic_convolve(&a, &b)
-        );
-    }
-
-    #[test]
-    fn length_mismatch_is_error() {
-        let a = vec![Fp::ONE; 8];
-        let b = vec![Fp::ONE; 16];
-        assert!(matches!(
-            cyclic_convolve_pow2(&a, &b),
-            Err(NttError::LengthMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn convolve_64k_with_sparse_inputs() {
-        // Sparse vectors keep the naive expectation cheap: conv of impulses
-        // at i and j is an impulse at i+j with the product amplitude.
-        let plan = Ntt64k::new();
-        let mut a = vec![Fp::ZERO; N64K];
-        let mut b = vec![Fp::ZERO; N64K];
-        a[5] = Fp::new(3);
-        a[100] = Fp::new(7);
-        b[11] = Fp::new(10);
-        b[65_535] = Fp::new(2);
-        let c = cyclic_convolve_64k(&plan, &a, &b);
-        let mut expected = vec![Fp::ZERO; N64K];
-        expected[16] += Fp::new(30); // 5+11
-        expected[111] += Fp::new(70); // 100+11
-        expected[(5 + 65_535) % N64K] += Fp::new(6);
-        expected[(100 + 65_535) % N64K] += Fp::new(14);
-        assert_eq!(c, expected);
     }
 }

@@ -11,18 +11,22 @@
 //! (the accelerator's DSP-based modular multipliers), and a recursive
 //! `M`-point transform. Choosing radices from `{8, 16, 32, 64}` makes every
 //! inner DFT shift-only ([`crate::kernels`]); the paper's 64K plan is the
-//! radix list `[64, 64, 16]` (see [`crate::Ntt64k`] for the specialized
-//! version with precomputed tables).
+//! radix list `[64, 64, 16]`.
+//!
+//! This is an **oracle**, not a production path: it executes the recursion
+//! exactly as written, stage by stage on the radix list it is given, so
+//! tests can cross-check the compiled engine ([`crate::Radix2kPlan`])
+//! against an independent algorithm — including at sizes the engine does
+//! not plan at all (any length dividing `p − 1`, power of two or not).
 
 use he_field::{roots, Fp};
 
 use crate::error::NttError;
 use crate::kernels::{self, Direction};
 use crate::naive;
-use crate::radix2k::Radix2kPlan;
 use crate::scratch::NttScratch;
 
-/// A planned mixed-radix NTT.
+/// A planned mixed-radix NTT that always executes its radix list.
 ///
 /// Input and output are in natural order.
 ///
@@ -45,10 +49,6 @@ pub struct MixedRadixPlan {
     /// `omega^e` for `e` in `[0, n)`.
     forward_table: Vec<Fp>,
     n_inv: Fp,
-    /// Radix-2^k engine executing the transform for power-of-two lengths;
-    /// `None` for non-power-of-two plans and [`MixedRadixPlan::reference`]
-    /// plans (which run the recursion itself).
-    engine: Option<Radix2kPlan>,
 }
 
 impl MixedRadixPlan {
@@ -63,27 +63,6 @@ impl MixedRadixPlan {
     /// Returns [`NttError::UnsupportedSize`] if the radix list is empty, a
     /// radix is `< 2`, or the product does not divide `p − 1`.
     pub fn new(radices: &[usize]) -> Result<MixedRadixPlan, NttError> {
-        let mut plan = MixedRadixPlan::reference(radices)?;
-        if plan.n.is_power_of_two() && plan.n >= 2 {
-            // The recursion and the radix-2^k engine compute the same DFT
-            // on the same root, so the faster engine can execute the plan;
-            // the radix list stays the plan's observable structure.
-            plan.engine = Some(Radix2kPlan::with_omega(plan.n, plan.omega)?);
-        }
-        Ok(plan)
-    }
-
-    /// Plans the same transform as [`MixedRadixPlan::new`] but always
-    /// executes the Eq. 1 recursion itself, even for power-of-two lengths
-    /// where `new` would delegate to the radix-2^k engine. This is the
-    /// independent reference implementation cross-validation tests compare
-    /// the compiled kernels against.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NttError::UnsupportedSize`] under the same conditions as
-    /// [`MixedRadixPlan::new`].
-    pub fn reference(radices: &[usize]) -> Result<MixedRadixPlan, NttError> {
         if radices.is_empty() {
             return Err(NttError::UnsupportedSize {
                 n: 0,
@@ -109,13 +88,7 @@ impl MixedRadixPlan {
             omega,
             forward_table,
             n_inv,
-            engine: None,
         })
-    }
-
-    /// The paper's 64K-point plan: radix-64, radix-64, radix-16.
-    pub fn paper_64k() -> MixedRadixPlan {
-        MixedRadixPlan::new(&[64, 64, 16]).expect("64·64·16 divides p-1")
     }
 
     /// The transform length.
@@ -136,15 +109,6 @@ impl MixedRadixPlan {
     /// The primitive root used by the plan.
     pub fn omega(&self) -> Fp {
         self.omega
-    }
-
-    /// Bytes held by the plan's precomputed twiddle tables (the `ω^e`
-    /// lookup table plus, when the plan delegates to the radix-2^k
-    /// engine, the engine's stage and micro tables). Computed once at
-    /// construction and shared by every transform.
-    pub fn table_bytes(&self) -> usize {
-        std::mem::size_of_val(self.forward_table.as_slice())
-            + self.engine.as_ref().map_or(0, Radix2kPlan::table_bytes)
     }
 
     /// Forward transform.
@@ -180,12 +144,6 @@ impl MixedRadixPlan {
     /// Panics if `data.len()` differs from the plan length.
     pub fn forward_into(&self, data: &mut [Fp], scratch: &mut NttScratch) {
         assert_eq!(data.len(), self.n, "input length must equal plan length");
-        if let Some(engine) = &self.engine {
-            engine
-                .forward_in_place(data)
-                .expect("length asserted above");
-            return;
-        }
         let mut out = scratch.take_any(self.n);
         self.transform_rec(
             data,
@@ -207,12 +165,6 @@ impl MixedRadixPlan {
     /// Panics if `data.len()` differs from the plan length.
     pub fn inverse_into(&self, data: &mut [Fp], scratch: &mut NttScratch) {
         assert_eq!(data.len(), self.n, "input length must equal plan length");
-        if let Some(engine) = &self.engine {
-            engine
-                .inverse_in_place(data)
-                .expect("length asserted above");
-            return;
-        }
         let mut out = scratch.take_any(self.n);
         self.transform_rec(
             data,
@@ -412,7 +364,7 @@ mod tests {
 
     #[test]
     fn paper_plan_shape() {
-        let plan = MixedRadixPlan::paper_64k();
+        let plan = MixedRadixPlan::new(&[64, 64, 16]).unwrap();
         assert_eq!(plan.len(), 65_536);
         assert_eq!(plan.radices(), &[64, 64, 16]);
         assert_eq!(plan.omega(), he_field::roots::omega_64k());
@@ -421,36 +373,10 @@ mod tests {
     #[test]
     fn stage_order_is_observable() {
         // [64,16] and [16,64] are different factorizations of 1024 that must
-        // agree on the result (reference plans, so the recursion itself is
-        // exercised rather than two copies of the same engine).
-        let a = MixedRadixPlan::reference(&[64, 16]).unwrap();
-        let b = MixedRadixPlan::reference(&[16, 64]).unwrap();
+        // agree on the result.
+        let a = MixedRadixPlan::new(&[64, 16]).unwrap();
+        let b = MixedRadixPlan::new(&[16, 64]).unwrap();
         let input = ramp(1024);
         assert_eq!(a.forward(&input), b.forward(&input));
-    }
-
-    #[test]
-    fn engine_delegation_matches_reference_bit_for_bit() {
-        for radices in [vec![8usize, 8], vec![64, 16], vec![32, 16, 8]] {
-            let fast = MixedRadixPlan::new(&radices).unwrap();
-            let slow = MixedRadixPlan::reference(&radices).unwrap();
-            let input = ramp(fast.len());
-            assert_eq!(
-                fast.forward(&input),
-                slow.forward(&input),
-                "radices = {radices:?}"
-            );
-            assert_eq!(
-                fast.inverse(&input),
-                slow.inverse(&input),
-                "radices = {radices:?}"
-            );
-        }
-        // Non-power-of-two plans have no engine to delegate to and still
-        // agree with themselves through the public constructor.
-        let odd = MixedRadixPlan::new(&[3, 5]).unwrap();
-        let odd_ref = MixedRadixPlan::reference(&[3, 5]).unwrap();
-        let input = ramp(15);
-        assert_eq!(odd.forward(&input), odd_ref.forward(&input));
     }
 }

@@ -10,12 +10,11 @@
 //! The implementation uses `std::thread::scope` rather than rayon because
 //! this workspace builds without a crates.io registry; the chunked
 //! fan-out/join pattern is the same work shape a rayon `par_chunks_mut`
-//! would produce. With the `parallel` feature disabled (or
-//! `HE_NTT_THREADS=1`) everything runs inline on the caller's thread, which
-//! also keeps the hot path allocation-free — thread spawning is the one
-//! part of the parallel path that touches the heap.
+//! would produce. With a [`thread_count`] of 1 (`HE_NTT_THREADS=1`,
+//! [`set_threads`]`(1)`, a single-core host) everything runs inline on the
+//! caller's thread, which also keeps the hot path allocation-free — thread
+//! spawning is the one part of the parallel path that touches the heap.
 
-#[cfg(feature = "parallel")]
 static THREAD_OVERRIDE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
 
 /// Overrides the worker-thread count for this process (`0` clears the
@@ -23,13 +22,9 @@ static THREAD_OVERRIDE: std::sync::atomic::AtomicUsize = std::sync::atomic::Atom
 /// scaling without re-launching; it takes precedence over the
 /// `HE_NTT_THREADS` environment variable.
 pub fn set_threads(n: usize) {
-    #[cfg(feature = "parallel")]
     THREAD_OVERRIDE.store(n, std::sync::atomic::Ordering::Relaxed);
-    #[cfg(not(feature = "parallel"))]
-    let _ = n;
 }
 
-#[cfg(feature = "parallel")]
 thread_local! {
     /// Per-thread fan-out cap, set by [`with_thread_budget`].
     static LOCAL_BUDGET: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
@@ -45,22 +40,14 @@ thread_local! {
 /// with up to `W × T` live threads. The cap is thread-local, so concurrent
 /// shards compose without racing the global [`set_threads`] override.
 pub fn with_thread_budget<R>(n: usize, f: impl FnOnce() -> R) -> R {
-    #[cfg(feature = "parallel")]
-    {
-        struct Restore(usize);
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                LOCAL_BUDGET.with(|c| c.set(self.0));
-            }
+    struct Restore(usize);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            LOCAL_BUDGET.with(|c| c.set(self.0));
         }
-        let _restore = Restore(LOCAL_BUDGET.with(|c| c.replace(n)));
-        f()
     }
-    #[cfg(not(feature = "parallel"))]
-    {
-        let _ = n;
-        f()
-    }
+    let _restore = Restore(LOCAL_BUDGET.with(|c| c.replace(n)));
+    f()
 }
 
 /// Upper bound on worker threads (including the caller's).
@@ -68,31 +55,23 @@ pub fn with_thread_budget<R>(n: usize, f: impl FnOnce() -> R) -> R {
 /// Precedence: the calling thread's [`with_thread_budget`] cap, then the
 /// [`set_threads`] override, then `HE_NTT_THREADS` (read once per process —
 /// the lookup allocates, and this runs on the allocation-free hot path),
-/// then the machine's available parallelism. Always at least 1. With the
-/// `parallel` feature disabled this is constantly 1.
+/// then the machine's available parallelism. Always at least 1.
 pub fn thread_count() -> usize {
-    #[cfg(not(feature = "parallel"))]
-    {
-        1
+    let budget = LOCAL_BUDGET.with(|c| c.get());
+    if budget > 0 {
+        return budget;
     }
-    #[cfg(feature = "parallel")]
-    {
-        let budget = LOCAL_BUDGET.with(|c| c.get());
-        if budget > 0 {
-            return budget;
-        }
-        let forced = THREAD_OVERRIDE.load(std::sync::atomic::Ordering::Relaxed);
-        if forced > 0 {
-            return forced;
-        }
-        static DEFAULT: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-        *DEFAULT.get_or_init(|| match std::env::var("HE_NTT_THREADS") {
-            Ok(v) => v.parse::<usize>().map(|n| n.max(1)).unwrap_or(1),
-            Err(_) => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        })
+    let forced = THREAD_OVERRIDE.load(std::sync::atomic::Ordering::Relaxed);
+    if forced > 0 {
+        return forced;
     }
+    static DEFAULT: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *DEFAULT.get_or_init(|| match std::env::var("HE_NTT_THREADS") {
+        Ok(v) => v.parse::<usize>().map(|n| n.max(1)).unwrap_or(1),
+        Err(_) => std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1),
+    })
 }
 
 /// Runs `f(index, &items[index], &mut out[index])` for every item,

@@ -1,36 +1,33 @@
-//! The paper's 64K-point transform (Eq. 2), executed by the radix-2^k
-//! stage compiler.
+//! The paper's 64K-point transform (Eq. 2): the production engine pinned
+//! to the paper's length and root.
 //!
 //! The paper decomposes the 64K transform as radix-64 × radix-64 ×
 //! radix-16 (input `n = 1024·n3 + 16·n2 + n1`, output
 //! `k = kA + 64·kB + 4096·kC`): two stages of 1024 shift-only 64-point
 //! DFTs, a stage of 4096 shift-only 16-point DFTs, and DSP modular
-//! multipliers for the inter-stage twiddles. Those are exactly the
-//! operation counts behind its timing model
-//! (`T_FFT = 2·(T_C·8·1024)/P + (T_C·2)·4096/P`), preserved here by
-//! [`Ntt64k::operation_counts`] for the resource/performance models in
-//! `he-hwsim`.
+//! multipliers for the inter-stage twiddles. That hardware census and the
+//! timing model built on it
+//! (`T_FFT = 2·(T_C·8·1024)/P + (T_C·2)·4096/P`) live in `he_hwsim::perf`.
 //!
-//! In software the same transform is executed by [`Radix2kPlan`] — the
-//! radix-2^k schedule `[6, 5, 5]` is the software analogue of the paper's
-//! 64/64/16 split (radix-64, radix-32, radix-32 groups, each group one
-//! data pass with an in-register shift-only network). `Ntt64k` is a thin
-//! wrapper that pins the length to [`N64K`] and the root to the canonical
-//! aligned [`roots::omega_64k`], keeping the scratch-taking `*_into` API
-//! shape its callers (`he-ssa`, benches) already use — the engine itself
-//! is fully in-place and no longer touches the scratch pool.
+//! In software the same transform is a [`Radix2kPlan`] — the radix-2^k
+//! schedule `[6, 5, 5]` is the software analogue of the paper's 64/64/16
+//! split (radix-64, radix-32, radix-32 groups, each group one data pass
+//! with an in-register shift-only network). `Ntt64k` only pins the length
+//! to [`N64K`] and the root to the canonical aligned
+//! [`roots::omega_64k`] — which is also what
+//! [`Radix2kPlan::new`]`(N64K)` plans, so spectra are bit-identical
+//! between the two.
 
 use he_field::{roots, Fp};
 
-use crate::error::NttError;
 use crate::radix2k::Radix2kPlan;
 use crate::scratch::NttScratch;
 
 /// The transform length of the paper's plan: 64K points.
 pub const N64K: usize = 65_536;
 
-/// The paper's 64K-point NTT (radix-64 × radix-64 × radix-16), forward and
-/// inverse, with precomputed twiddle tables.
+/// The paper's 64K-point NTT, forward and inverse, with precomputed
+/// twiddle tables.
 ///
 /// The inverse applies the `1/65536 = 2^{176} (mod p)` scaling — itself a
 /// shift, one more convenience of the Solinas prime.
@@ -90,47 +87,35 @@ impl Ntt64k {
 
     /// Forward 64K-point transform (natural order in and out).
     ///
-    /// Thin allocating wrapper over [`Ntt64k::forward_into`].
-    ///
     /// # Panics
     ///
     /// Panics if `input.len() != 65536`.
     pub fn forward(&self, input: &[Fp]) -> Vec<Fp> {
-        let mut data = input.to_vec();
-        self.forward_into(&mut data, &mut NttScratch::new());
-        data
+        self.engine.forward(input)
     }
 
     /// Inverse 64K-point transform including the `1/n` scaling.
-    ///
-    /// Thin allocating wrapper over [`Ntt64k::inverse_into`].
     ///
     /// # Panics
     ///
     /// Panics if `input.len() != 65536`.
     pub fn inverse(&self, input: &[Fp]) -> Vec<Fp> {
-        let mut data = input.to_vec();
-        self.inverse_into(&mut data, &mut NttScratch::new());
-        data
+        self.engine.inverse(input)
     }
 
+    // The engine is fully in place, so `_scratch` is never touched; the
+    // parameter stays because `benchmark/` (frozen) calls these two with
+    // that signature.
+
     /// In-place forward transform.
-    ///
-    /// The radix-2^k engine works entirely in place, so `scratch` is kept
-    /// only for API compatibility (callers that pool a scratch across
-    /// mixed plan types keep working); it is never touched. With the
-    /// `parallel` feature the independent orbit groups of each stage fan
-    /// out over the available cores.
     ///
     /// # Panics
     ///
     /// Panics if `data.len() != 65536`.
-    pub fn forward_into(&self, data: &mut [Fp], scratch: &mut NttScratch) {
-        let _ = scratch;
-        assert_eq!(data.len(), N64K, "Ntt64k operates on 65536 points");
+    pub fn forward_into(&self, data: &mut [Fp], _scratch: &mut NttScratch) {
         self.engine
             .forward_in_place(data)
-            .expect("length asserted above");
+            .expect("Ntt64k operates on 65536 points");
     }
 
     /// In-place inverse transform (including the `1/n` scaling, folded
@@ -139,41 +124,10 @@ impl Ntt64k {
     /// # Panics
     ///
     /// Panics if `data.len() != 65536`.
-    pub fn inverse_into(&self, data: &mut [Fp], scratch: &mut NttScratch) {
-        let _ = scratch;
-        assert_eq!(data.len(), N64K, "Ntt64k operates on 65536 points");
+    pub fn inverse_into(&self, data: &mut [Fp], _scratch: &mut NttScratch) {
         self.engine
             .inverse_in_place(data)
-            .expect("length asserted above");
-    }
-
-    /// Fallible forward transform.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NttError::LengthMismatch`] if the input is not 64K points.
-    pub fn try_forward(&self, input: &[Fp]) -> Result<Vec<Fp>, NttError> {
-        if input.len() != N64K {
-            return Err(NttError::LengthMismatch {
-                expected: N64K,
-                actual: input.len(),
-            });
-        }
-        Ok(self.forward(input))
-    }
-
-    /// Operation census for one forward transform **on the paper's
-    /// hardware plan** (radix-64 × radix-64 × radix-16), used by the
-    /// performance and resource models:
-    /// `(fft64_count, fft16_count, twiddle_muls)`.
-    ///
-    /// This is the hardware model of Eq. 2, independent of the software
-    /// schedule the engine happens to run.
-    pub fn operation_counts() -> (usize, usize, usize) {
-        // 1024 FFT-64s in each of stages 1 and 2; 4096 FFT-16s in stage 3;
-        // twiddle multiplications before stages 2 and 3 (64K each, minus the
-        // trivial ω^0 ones which hardware still spends a multiplier slot on).
-        (2 * 1024, 4096, 2 * N64K)
+            .expect("Ntt64k operates on 65536 points");
     }
 }
 
@@ -259,11 +213,10 @@ mod tests {
     #[test]
     fn matches_generic_mixed_radix() {
         // The pure Eq. 1 recursion on the paper's radix list is the
-        // independent reference implementation (`reference` bypasses the
-        // radix-2^k delegation, so this cross-checks two distinct
-        // algorithms).
+        // independent reference implementation, so this cross-checks two
+        // distinct algorithms.
         let plan = Ntt64k::new();
-        let generic = MixedRadixPlan::reference(&[64, 64, 16]).unwrap();
+        let generic = MixedRadixPlan::new(&[64, 64, 16]).unwrap();
         let v = sparse_input();
         assert_eq!(plan.forward(&v), generic.forward(&v));
     }
@@ -281,29 +234,10 @@ mod tests {
             vec![16, 64, 64],
             vec![8, 8, 8, 8, 16],
         ] {
-            let alt = MixedRadixPlan::reference(&radices).unwrap();
+            let alt = MixedRadixPlan::new(&radices).unwrap();
             assert_eq!(alt.len(), N64K);
             assert_eq!(alt.forward(&v), reference, "radices {radices:?}");
         }
-    }
-
-    #[test]
-    fn try_forward_length_check() {
-        let plan = Ntt64k::new();
-        assert!(matches!(
-            plan.try_forward(&[Fp::ZERO; 4]),
-            Err(NttError::LengthMismatch {
-                expected: N64K,
-                actual: 4
-            })
-        ));
-    }
-
-    #[test]
-    fn operation_counts_match_paper_formula() {
-        let (fft64, fft16, _) = Ntt64k::operation_counts();
-        assert_eq!(fft64, 2048);
-        assert_eq!(fft16, 4096);
     }
 
     #[test]

@@ -9,8 +9,8 @@ use crate::error::NttError;
 ///
 /// Input and output are in natural order (a bit-reversal permutation is
 /// applied internally). This is the "binary recursive splitting" baseline
-/// the paper departs from; the `ntt_radix` bench compares it against
-/// [`crate::MixedRadixPlan`] and [`crate::Ntt64k`].
+/// the paper departs from, kept as an independently coded oracle for
+/// [`crate::Radix2kPlan`]; the `ntt_radix` bench compares the two.
 ///
 /// ```
 /// use he_field::Fp;

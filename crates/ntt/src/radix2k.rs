@@ -28,7 +28,7 @@
 //! [`Radix2kPlan`] owns both families (computed once, shared by every
 //! transform — never per scratch), picks a balanced `deg` schedule for
 //! the plan size, and exposes the same in-place, allocation-free API as
-//! [`crate::Radix2Plan`] so every higher plan can delegate to it.
+//! [`crate::Radix2Plan`], the oracle it is checked against bit for bit.
 
 use he_field::{roots, Fp};
 
@@ -452,9 +452,9 @@ fn build_stage_table(omega: Fp, n: usize, log_m: u32, deg: u32) -> Option<Vec<Fp
     Some(table)
 }
 
-/// A planned radix-2^k NTT of power-of-two length — the engine behind
-/// [`crate::Ntt64k`], [`crate::SixStepPlan`], [`crate::NegacyclicPlan`]
-/// and power-of-two [`crate::MixedRadixPlan`]s.
+/// A planned radix-2^k NTT of power-of-two length — the one production
+/// transform: `he-ssa` plans it for every length, and [`crate::Ntt64k`]
+/// and [`crate::NegacyclicPlan`] run on it.
 ///
 /// Input and output are in natural order. The transform is fully
 /// in-place (one internal bit-reversal pass plus one data pass per
@@ -499,8 +499,8 @@ impl Radix2kPlan {
     }
 
     /// Plans an `n`-point transform with an explicit primitive `n`-th
-    /// root (used by the ψ-twisted and six-step plans, whose sub-plans
-    /// run on aligned non-canonical roots).
+    /// root (used by the ψ-twisted plan, whose cyclic core runs on the
+    /// non-canonical root `ψ²`).
     ///
     /// # Errors
     ///

@@ -1,12 +1,16 @@
-//! Reusable scratch buffers for the in-place transform APIs.
+//! Reusable staging buffers for the product pipeline.
 //!
-//! Every `*_into` method in this crate stages its intermediate values in an
-//! [`NttScratch`] instead of allocating fresh vectors, mirroring the
-//! accelerator's fixed on-chip buffers: the FPGA performs the entire
-//! three-stage 64K transform inside the PE-local memories and never touches
-//! fresh storage per product. After a warm-up call per (plan, size), a
-//! reused scratch serves every subsequent transform with **zero heap
-//! allocations** — verified by the counting-allocator test in `he-ssa`.
+//! The engine ([`crate::Radix2kPlan`]) transforms in place and needs no
+//! staging; what a product still needs are the coefficient vectors
+//! themselves, and an [`NttScratch`] pools those instead of allocating
+//! fresh ones per product — mirroring the accelerator's fixed on-chip
+//! buffers: the FPGA performs the entire three-stage 64K transform inside
+//! the PE-local memories and never touches fresh storage per product.
+//! `he-ssa` keeps one per scratch unit, [`crate::NegacyclicPlan`] stages a
+//! spectrum in one, and the [`crate::MixedRadixPlan`] recursion stages its
+//! intermediates there. After a warm-up call a reused scratch serves every
+//! subsequent product with **zero heap allocations** — verified by the
+//! counting-allocator test in `he-ssa`.
 
 use he_field::Fp;
 
@@ -14,20 +18,20 @@ use he_field::Fp;
 ///
 /// [`NttScratch::take`] hands out a zeroed buffer of the requested length,
 /// reusing the largest pooled allocation; [`NttScratch::put`] returns it.
-/// The pool is intentionally dumb — transforms borrow a handful of buffers
+/// The pool is intentionally dumb — callers borrow a handful of buffers
 /// in LIFO order, so a small vector of spares is exactly right.
 ///
 /// ```
 /// use he_field::Fp;
-/// use he_ntt::{Ntt64k, NttScratch, N64K};
+/// use he_ntt::NttScratch;
 ///
-/// let plan = Ntt64k::new();
 /// let mut scratch = NttScratch::new();
-/// let mut data = vec![Fp::ZERO; N64K];
-/// data[1] = Fp::new(7);
-/// let expected = plan.forward(&data);
-/// plan.forward_into(&mut data, &mut scratch); // in place, no fresh buffers
-/// assert_eq!(data, expected);
+/// let buf = scratch.take(1024); // zero-filled, allocates once
+/// let ptr = buf.as_ptr();
+/// scratch.put(buf);
+/// let again = scratch.take(1024); // the same allocation, re-zeroed
+/// assert_eq!(again.as_ptr(), ptr);
+/// assert!(again.iter().all(|x| *x == Fp::ZERO));
 /// ```
 #[derive(Debug, Default)]
 pub struct NttScratch {

@@ -4,7 +4,7 @@ use core::fmt;
 use core::ops::{Add, AddAssign, Mul, Neg, Sub};
 
 use he_field::Fp;
-use he_ntt::{convolution, naive, Radix2Plan};
+use he_ntt::{convolution, naive, Radix2kPlan};
 
 /// Coefficient count above which multiplication switches from schoolbook
 /// to NTT convolution.
@@ -118,7 +118,7 @@ impl Poly {
             v.resize(n, Fp::ZERO);
             v
         };
-        let plan = Radix2Plan::new(n).expect("power of two within field 2-adicity");
+        let plan = Radix2kPlan::new(n).expect("power of two within field 2-adicity");
         let fa = plan.forward(&pad(self));
         let fb = plan.forward(&pad(other));
         Poly::from_coeffs(plan.inverse(&convolution::pointwise(&fa, &fb)))

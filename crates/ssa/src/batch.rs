@@ -10,9 +10,9 @@
 //! pool, so shards never serialize on a lock the way the old
 //! single-`Mutex` pool forced them to.
 //!
-//! Worker count follows [`he_ntt::par::thread_count`] (the `parallel`
-//! feature, `HE_NTT_THREADS`, or [`he_ntt::par::set_threads`]), so batch
-//! sharding and the per-transform stage fan-out are pinned by one knob.
+//! Worker count follows [`he_ntt::par::thread_count`] (`HE_NTT_THREADS`
+//! or [`he_ntt::par::set_threads`]), so batch sharding and the
+//! per-transform stage fan-out are pinned by one knob.
 //!
 //! # Example
 //!

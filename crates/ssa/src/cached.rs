@@ -16,6 +16,10 @@
 //! runs in ≈ 61 µs — the model side of this accounting lives in
 //! `he_hwsim::perf::PerfModel::cached_multiplication_cycles`.
 //!
+//! The entry points here only say which sides of the product are already
+//! spectra; the dataflow itself is the one kernel described in
+//! [`crate::multiplier`].
+//!
 //! # Example
 //!
 //! ```
@@ -36,9 +40,8 @@ use he_bigint::UBig;
 use he_field::Fp;
 
 use crate::error::SsaError;
-use crate::multiplier::SsaMultiplier;
+use crate::multiplier::{Side, SsaMultiplier};
 use crate::params::SsaParams;
-use crate::recompose::{decompose_into, recompose_into};
 
 /// A big integer held in the transform (spectral) domain of a specific
 /// [`SsaMultiplier`] plan.
@@ -101,11 +104,9 @@ impl SsaMultiplier {
             });
         }
         // The spectrum is owned by the returned operand (one unavoidable
-        // allocation); the transform itself stages in the pooled scratch.
+        // allocation); the transform runs in place on it.
         let mut spectrum = vec![Fp::ZERO; n];
-        decompose_into(a, params.coeff_bits(), &mut spectrum);
-        let pool = &mut *self.pool();
-        self.forward_points_in_place(&mut spectrum, &mut pool.ntt);
+        self.transform_into(a, &mut spectrum);
         Ok(TransformedOperand {
             spectrum,
             coeff_count: ca,
@@ -132,8 +133,8 @@ impl SsaMultiplier {
         Ok(out)
     }
 
-    /// [`SsaMultiplier::multiply_transformed`] into a caller-owned result —
-    /// allocation-free once the pool is warm.
+    /// [`SsaMultiplier::multiply_transformed`] into a caller-owned result:
+    /// the kernel with both sides already spectra.
     ///
     /// # Errors
     ///
@@ -145,23 +146,7 @@ impl SsaMultiplier {
         b: &TransformedOperand,
         out: &mut UBig,
     ) -> Result<(), SsaError> {
-        self.check_compatible(a)?;
-        self.check_compatible(b)?;
-        if a.is_zero() || b.is_zero() {
-            out.assign_from_limbs(&[]);
-            return Ok(());
-        }
-        self.check_capacity(a.coeff_count, b.coeff_count)?;
-        let pool = &mut *self.pool();
-        let mut cv = pool.ntt.take_any(a.spectrum.len());
-        cv.copy_from_slice(&a.spectrum);
-        for (x, &y) in cv.iter_mut().zip(&b.spectrum) {
-            *x *= y;
-        }
-        self.inverse_points_in_place(&mut cv, &mut pool.ntt);
-        recompose_into(&cv, self.params().coeff_bits(), &mut pool.limbs, out);
-        pool.ntt.put(cv);
-        Ok(())
+        self.product_into(Side::Spectrum(a), Side::Spectrum(b), out)
     }
 
     /// Multiplies a cached spectrum by a fresh integer: one forward + one
@@ -176,8 +161,8 @@ impl SsaMultiplier {
         Ok(out)
     }
 
-    /// [`SsaMultiplier::multiply_one_cached`] into a caller-owned result —
-    /// allocation-free once the pool is warm.
+    /// [`SsaMultiplier::multiply_one_cached`] into a caller-owned result:
+    /// the kernel with one side already a spectrum.
     ///
     /// # Errors
     ///
@@ -189,60 +174,7 @@ impl SsaMultiplier {
         b: &UBig,
         out: &mut UBig,
     ) -> Result<(), SsaError> {
-        self.check_compatible(a)?;
-        if a.is_zero() || b.is_zero() {
-            out.assign_from_limbs(&[]);
-            return Ok(());
-        }
-        let params = self.params();
-        let cb = params.coeff_count(b.bit_len());
-        self.check_capacity(a.coeff_count, cb)?;
-        let pool = &mut *self.pool();
-        let mut cv = pool.ntt.take_any(params.n_points());
-        decompose_into(b, params.coeff_bits(), &mut cv);
-        self.forward_points_in_place(&mut cv, &mut pool.ntt);
-        for (x, &y) in cv.iter_mut().zip(&a.spectrum) {
-            *x *= y;
-        }
-        self.inverse_points_in_place(&mut cv, &mut pool.ntt);
-        recompose_into(&cv, params.coeff_bits(), &mut pool.limbs, out);
-        pool.ntt.put(cv);
-        Ok(())
-    }
-
-    /// Squares a cached spectrum: pointwise squaring + one inverse
-    /// transform.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SsaMultiplier::multiply_transformed`].
-    pub fn square_transformed(&self, a: &TransformedOperand) -> Result<UBig, SsaError> {
-        self.multiply_transformed(a, a)
-    }
-
-    fn check_compatible(&self, t: &TransformedOperand) -> Result<(), SsaError> {
-        if t.params != self.params() {
-            return Err(SsaError::InvalidParams {
-                reason: format!(
-                    "spectrum was transformed with (m={}, N={}) but this multiplier uses (m={}, N={})",
-                    t.params.coeff_bits(),
-                    t.params.n_points(),
-                    self.params().coeff_bits(),
-                    self.params().n_points()
-                ),
-            });
-        }
-        Ok(())
-    }
-
-    fn check_capacity(&self, ca: usize, cb: usize) -> Result<(), SsaError> {
-        if ca + cb - 1 > self.params().n_points() {
-            return Err(SsaError::OperandTooLarge {
-                bits: (ca + cb) * self.params().coeff_bits() as usize,
-                max_bits: 2 * self.params().max_operand_bits(),
-            });
-        }
-        Ok(())
+        self.product_into(Side::Spectrum(a), Side::Raw(b), out)
     }
 }
 
@@ -341,18 +273,6 @@ mod tests {
             ssa_a.multiply_one_cached(&t, &UBig::from(7u64)),
             Err(SsaError::InvalidParams { .. })
         ));
-    }
-
-    #[test]
-    fn square_transformed_matches_square() {
-        let mut rng = StdRng::seed_from_u64(43);
-        let ssa = small();
-        let a = UBig::random_bits(&mut rng, 128);
-        let ta = ssa.transform(&a).unwrap();
-        assert_eq!(
-            ssa.square_transformed(&ta).unwrap(),
-            ssa.square(&a).unwrap()
-        );
     }
 
     #[test]

@@ -16,6 +16,22 @@
 //! coefficient counts — no ring splitting or CRT is needed, which is what
 //! makes the hardware datapath so regular.
 //!
+//! # One kernel
+//!
+//! Like the accelerator's fixed dataflow, the crate has a single product
+//! body. [`SsaMultiplier::multiply_into`], the transform-caching forms
+//! ([`SsaMultiplier::multiply_one_cached_into`],
+//! [`SsaMultiplier::multiply_transformed_into`]) and the batch forms
+//! ([`SsaMultiplier::multiply_job_into`], [`SsaMultiplier::multiply_batch`])
+//! all run it over the two sides of an [`SsaJob`]: check capacity
+//! (`coeffs(a) + coeffs(b) − 1 ≤ N`), answer a zero operand at once, check
+//! out one scratch unit, forward-transform only the sides that are still
+//! raw integers (a cached [`TransformedOperand`] is read as is, so a
+//! product costs 2, 1 or 0 forward transforms), multiply pointwise, run
+//! the one inverse transform and recover carries into the caller's
+//! integer — with **zero heap allocations** once the pool is warm. Every
+//! transform runs on one `he_ntt::Radix2kPlan` planned for `N` points.
+//!
 //! # Example
 //!
 //! ```

@@ -1,9 +1,13 @@
-//! The Schönhage–Strassen multiplier.
+//! The Schönhage–Strassen multiplier and its one product kernel,
+//! `SsaMultiplier::product_into` (the crate docs walk through its steps).
+//! The public entry points here, in [`crate::cached`] and in
+//! [`crate::batch`] only name which [`Side`]s of a product are still raw.
 
 use he_bigint::UBig;
 use he_field::Fp;
-use he_ntt::{convolution, Ntt64k, NttScratch, Radix2kPlan, N64K};
+use he_ntt::{convolution, Radix2kPlan};
 
+use crate::cached::TransformedOperand;
 use crate::error::SsaError;
 use crate::params::SsaParams;
 use crate::pool::{ScratchGuard, ScratchPool};
@@ -11,7 +15,9 @@ use crate::recompose::{decompose_into, recompose_into};
 
 /// A planned Schönhage–Strassen multiplier.
 ///
-/// Construction precomputes the transform plan (twiddle tables); each
+/// Construction precomputes the transform plan (twiddle tables) — one
+/// [`Radix2kPlan`] on the canonical root of the transform length, which at
+/// the paper's 64K points is the aligned root of `he_ntt::Ntt64k`; each
 /// [`SsaMultiplier::multiply`] then performs two forward NTTs, a pointwise
 /// product, an inverse NTT, and carry recovery — exactly the dataflow of the
 /// paper's accelerator (three transforms + dot product + carry recovery,
@@ -48,7 +54,7 @@ use crate::recompose::{decompose_into, recompose_into};
 #[derive(Debug)]
 pub struct SsaMultiplier {
     params: SsaParams,
-    engine: Engine,
+    engine: Radix2kPlan,
     pool: ScratchPool,
 }
 
@@ -65,63 +71,31 @@ impl Clone for SsaMultiplier {
     }
 }
 
-#[derive(Debug, Clone)]
-enum Engine {
-    /// The paper's three-stage mixed-radix plan (only for `N = 65536`).
-    Paper64k(Box<Ntt64k>),
-    /// Generic radix-2^k compiled plan for other transform lengths.
-    Radix2k(Box<Radix2kPlan>),
-}
-
-impl Engine {
-    fn forward_in_place(&self, data: &mut [Fp], scratch: &mut NttScratch) {
-        match self {
-            Engine::Paper64k(plan) => plan.forward_into(data, scratch),
-            Engine::Radix2k(plan) => plan
-                .forward_in_place(data)
-                .expect("buffer sized to the plan"),
-        }
-    }
-
-    fn inverse_in_place(&self, data: &mut [Fp], scratch: &mut NttScratch) {
-        match self {
-            Engine::Paper64k(plan) => plan.inverse_into(data, scratch),
-            Engine::Radix2k(plan) => plan
-                .inverse_in_place(data)
-                .expect("buffer sized to the plan"),
-        }
-    }
+/// One side of a product: a raw integer, still to be decomposed and
+/// transformed, or a spectrum already in the transform domain.
+#[derive(Clone, Copy)]
+pub(crate) enum Side<'a> {
+    Raw(&'a UBig),
+    Spectrum(&'a TransformedOperand),
 }
 
 impl SsaMultiplier {
     /// A multiplier with the paper's parameters (`m = 24`, `N = 64K`,
-    /// operands up to 786,432 bits) on the three-stage transform.
+    /// operands up to 786,432 bits).
     pub fn paper() -> SsaMultiplier {
-        SsaMultiplier {
-            params: SsaParams::paper(),
-            engine: Engine::Paper64k(Box::new(Ntt64k::new())),
-            pool: ScratchPool::new(),
-        }
+        SsaMultiplier::with_params(SsaParams::paper()).expect("the paper's parameters plan")
     }
 
     /// A multiplier with explicit parameters.
-    ///
-    /// Uses the paper's three-stage plan when `N = 65536`, a radix-2^k
-    /// plan otherwise.
     ///
     /// # Errors
     ///
     /// Propagates [`SsaError`] from parameter validation or plan
     /// construction.
     pub fn with_params(params: SsaParams) -> Result<SsaMultiplier, SsaError> {
-        let engine = if params.n_points() == N64K {
-            Engine::Paper64k(Box::new(Ntt64k::new()))
-        } else {
-            Engine::Radix2k(Box::new(Radix2kPlan::new(params.n_points())?))
-        };
         Ok(SsaMultiplier {
             params,
-            engine,
+            engine: Radix2kPlan::new(params.n_points())?,
             pool: ScratchPool::new(),
         })
     }
@@ -156,99 +130,100 @@ impl SsaMultiplier {
         Ok(out)
     }
 
-    /// Multiplies two integers into a caller-owned result.
-    ///
-    /// The full pipeline — decomposition, two forward NTTs, the pointwise
-    /// product, the inverse NTT and carry recovery — runs in pooled
-    /// buffers; once the pool and `out` have grown to the working size the
-    /// call performs **zero heap allocations** (verified by the
-    /// counting-allocator test in `tests/alloc_counting.rs`).
+    /// Multiplies two integers into a caller-owned result: the kernel with
+    /// both sides raw (three transforms).
     ///
     /// # Errors
     ///
     /// Same conditions as [`SsaMultiplier::multiply`]; on error `out` is
     /// left unchanged.
     pub fn multiply_into(&self, a: &UBig, b: &UBig, out: &mut UBig) -> Result<(), SsaError> {
-        if a.is_zero() || b.is_zero() {
+        self.product_into(Side::Raw(a), Side::Raw(b), out)
+    }
+
+    // lint: no-alloc
+    /// The product kernel (see the crate docs): every entry point that
+    /// multiplies two integers lands here.
+    pub(crate) fn product_into(
+        &self,
+        a: Side<'_>,
+        b: Side<'_>,
+        out: &mut UBig,
+    ) -> Result<(), SsaError> {
+        let (ca, bits_a) = self.measure(a)?;
+        let (cb, bits_b) = self.measure(b)?;
+        if ca == 0 || cb == 0 {
             out.assign_from_limbs(&[]);
             return Ok(());
         }
         let n = self.params.n_points();
-        let ca = self.params.coeff_count(a.bit_len());
-        let cb = self.params.coeff_count(b.bit_len());
         if ca + cb - 1 > n {
             return Err(SsaError::OperandTooLarge {
-                bits: a.bit_len() + b.bit_len(),
+                bits: bits_a + bits_b,
                 max_bits: 2 * self.params.max_operand_bits(),
             });
         }
-        let m = self.params.coeff_bits();
+        // A lone raw side is transformed in the accumulator itself, so
+        // only a raw × raw product borrows a second buffer.
+        let (first, second) = match (a, b) {
+            (Side::Spectrum(_), Side::Raw(_)) => (b, a),
+            _ => (a, b),
+        };
         let pool = &mut *self.pool();
-        let mut av = pool.ntt.take_any(n);
-        let mut bv = pool.ntt.take_any(n);
-        decompose_into(a, m, &mut av);
-        decompose_into(b, m, &mut bv);
-        self.engine.forward_in_place(&mut av, &mut pool.ntt);
-        self.engine.forward_in_place(&mut bv, &mut pool.ntt);
-        convolution::pointwise_assign(&mut av, &bv);
-        self.engine.inverse_in_place(&mut av, &mut pool.ntt);
-        recompose_into(&av, m, &mut pool.limbs, out);
-        pool.ntt.put(av);
-        pool.ntt.put(bv);
+        let mut acc = pool.ntt.take_any(n);
+        match first {
+            Side::Raw(x) => self.transform_into(x, &mut acc),
+            Side::Spectrum(t) => acc.copy_from_slice(t.spectrum()),
+        }
+        match second {
+            Side::Raw(x) => {
+                let mut other = pool.ntt.take_any(n);
+                self.transform_into(x, &mut other);
+                convolution::pointwise_assign(&mut acc, &other);
+                pool.ntt.put(other);
+            }
+            Side::Spectrum(t) => convolution::pointwise_assign(&mut acc, t.spectrum()),
+        }
+        self.engine
+            .inverse_in_place(&mut acc)
+            .expect("buffer sized to the plan");
+        recompose_into(&acc, self.params.coeff_bits(), &mut pool.limbs, out);
+        pool.ntt.put(acc);
         Ok(())
     }
 
-    /// Squares an integer with only **two** transforms (one forward, one
-    /// inverse) instead of three — the forward spectrum is shared by both
-    /// operands.
-    ///
-    /// Thin wrapper over [`SsaMultiplier::square_into`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SsaError::OperandTooLarge`] like [`SsaMultiplier::multiply`].
-    pub fn square(&self, a: &UBig) -> Result<UBig, SsaError> {
-        let mut out = UBig::zero();
-        self.square_into(a, &mut out)?;
-        Ok(out)
+    /// Decomposes `x` into `points` and forward-transforms it in place.
+    pub(crate) fn transform_into(&self, x: &UBig, points: &mut [Fp]) {
+        decompose_into(x, self.params.coeff_bits(), points);
+        self.engine
+            .forward_in_place(points)
+            .expect("buffer sized to the plan");
+    }
+    // lint: end no-alloc
+
+    /// A side's coefficient count (0 for the zero operand) and bit length
+    /// (to coefficient granularity for a spectrum), after checking that a
+    /// spectrum was produced under this multiplier's parameters.
+    fn measure(&self, side: Side<'_>) -> Result<(usize, usize), SsaError> {
+        match side {
+            Side::Raw(x) => Ok((self.params.coeff_count(x.bit_len()), x.bit_len())),
+            Side::Spectrum(t) if t.params() == self.params => Ok((
+                t.coeff_count(),
+                t.coeff_count() * self.params.coeff_bits() as usize,
+            )),
+            Side::Spectrum(t) => Err(SsaError::InvalidParams {
+                reason: format!(
+                    "spectrum was transformed with (m={}, N={}) but this multiplier uses (m={}, N={})",
+                    t.params().coeff_bits(),
+                    t.params().n_points(),
+                    self.params.coeff_bits(),
+                    self.params.n_points()
+                ),
+            }),
+        }
     }
 
-    /// Squares an integer into a caller-owned result; allocation-free once
-    /// the pool is warm, like [`SsaMultiplier::multiply_into`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SsaMultiplier::square`]; on error `out` is
-    /// left unchanged.
-    pub fn square_into(&self, a: &UBig, out: &mut UBig) -> Result<(), SsaError> {
-        if a.is_zero() {
-            out.assign_from_limbs(&[]);
-            return Ok(());
-        }
-        let n = self.params.n_points();
-        let ca = self.params.coeff_count(a.bit_len());
-        if 2 * ca - 1 > n {
-            return Err(SsaError::OperandTooLarge {
-                bits: 2 * a.bit_len(),
-                max_bits: 2 * self.params.max_operand_bits(),
-            });
-        }
-        let m = self.params.coeff_bits();
-        let pool = &mut *self.pool();
-        let mut av = pool.ntt.take_any(n);
-        decompose_into(a, m, &mut av);
-        self.engine.forward_in_place(&mut av, &mut pool.ntt);
-        for x in av.iter_mut() {
-            *x = *x * *x;
-        }
-        self.engine.inverse_in_place(&mut av, &mut pool.ntt);
-        recompose_into(&av, m, &mut pool.limbs, out);
-        pool.ntt.put(av);
-        Ok(())
-    }
-
-    /// Checks out a scratch unit from the multiplier's pool (shared by the
-    /// plain, cached and batch product paths).
+    /// Checks out a scratch unit from the multiplier's pool.
     pub(crate) fn pool(&self) -> ScratchGuard<'_> {
         self.pool.checkout()
     }
@@ -286,43 +261,21 @@ impl SsaMultiplier {
         self.pool.idle_units()
     }
 
-    /// In-place forward transform on the engine's plan (used by the
-    /// transform-caching API in [`crate::cached`]).
-    pub(crate) fn forward_points_in_place(&self, data: &mut [Fp], scratch: &mut NttScratch) {
-        self.engine.forward_in_place(data, scratch);
-    }
-
-    /// In-place inverse transform on the engine's plan (used by the
-    /// transform-caching API in [`crate::cached`]).
-    pub(crate) fn inverse_points_in_place(&self, data: &mut [Fp], scratch: &mut NttScratch) {
-        self.engine.inverse_in_place(data, scratch);
-    }
-
-    /// The three NTTs + pointwise product, exposed for the hardware
-    /// simulator to cross-check stage by stage.
-    ///
-    /// Thin wrapper over [`SsaMultiplier::convolve_into`].
-    pub fn convolve(&self, a: &[Fp], b: &[Fp]) -> Vec<Fp> {
-        let mut out = a.to_vec();
-        self.convolve_into(&mut out, b);
-        out
-    }
-
-    /// Cyclic convolution `a ← a ⊛ b` in the engine's plan, staged in the
-    /// multiplier's pooled buffers.
+    /// Cyclic convolution of two coefficient vectors on the multiplier's
+    /// plan — the three NTTs + pointwise product of a raw × raw product
+    /// without the integer ends, exposed for the hardware simulator to
+    /// cross-check stage by stage.
     ///
     /// # Panics
     ///
-    /// Panics if the buffer lengths differ from the plan length.
-    pub fn convolve_into(&self, a: &mut [Fp], b: &[Fp]) {
-        let pool = &mut *self.pool();
-        self.engine.forward_in_place(a, &mut pool.ntt);
-        let mut fb = pool.ntt.take_any(b.len());
-        fb.copy_from_slice(b);
-        self.engine.forward_in_place(&mut fb, &mut pool.ntt);
-        convolution::pointwise_assign(a, &fb);
-        pool.ntt.put(fb);
-        self.engine.inverse_in_place(a, &mut pool.ntt);
+    /// Panics if the lengths differ from the plan length.
+    pub fn convolve(&self, a: &[Fp], b: &[Fp]) -> Vec<Fp> {
+        let mut out = self.engine.forward(a);
+        convolution::pointwise_assign(&mut out, &self.engine.forward(b));
+        self.engine
+            .inverse_in_place(&mut out)
+            .expect("forward checked the length");
+        out
     }
 }
 
@@ -410,36 +363,17 @@ mod tests {
     }
 
     #[test]
-    fn square_matches_multiply() {
-        let mut rng = StdRng::seed_from_u64(31);
-        let ssa = SsaMultiplier::with_params(SsaParams::new(16, 256).unwrap()).unwrap();
-        for bits in [0usize, 1, 100, 1500] {
-            let a = UBig::random_bits(&mut rng, bits);
-            assert_eq!(
-                ssa.square(&a).unwrap(),
-                ssa.multiply(&a, &a).unwrap(),
-                "bits = {bits}"
-            );
-        }
-        // Capacity: squaring needs 2·ca − 1 ≤ N.
-        let too_big = UBig::pow2(16 * 129); // 130 coefficients: 259 > 256
-        assert!(ssa.square(&too_big).is_err());
-    }
-
-    #[test]
-    fn radix2_engine_and_paper_engine_agree() {
-        // Same parameters, different transform plans.
+    fn transform_lengths_agree() {
+        // Same operands and coefficient width through the paper's 64K
+        // points and through half as many.
         let mut rng = StdRng::seed_from_u64(23);
         let a = UBig::random_bits(&mut rng, 50_000);
         let b = UBig::random_bits(&mut rng, 50_000);
         let paper = SsaMultiplier::paper();
-        let radix2 = {
-            // Force the radix-2 engine by using a different (valid) size.
-            SsaMultiplier::with_params(SsaParams::new(24, 1 << 15).unwrap()).unwrap()
-        };
+        let half = SsaMultiplier::with_params(SsaParams::new(24, 1 << 15).unwrap()).unwrap();
         assert_eq!(
             paper.multiply(&a, &b).unwrap(),
-            radix2.multiply(&a, &b).unwrap()
+            half.multiply(&a, &b).unwrap()
         );
     }
 }
