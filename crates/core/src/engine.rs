@@ -154,6 +154,17 @@ impl OperandHandle {
         !matches!(self.repr, HandleRepr::Raw(_))
     }
 
+    /// Bytes this handle keeps resident: its cached spectrum (512 KiB at
+    /// the paper's 64K-point plan), or the raw operand of a fallback
+    /// handle.
+    pub fn resident_bytes(&self) -> usize {
+        match &self.repr {
+            HandleRepr::Raw(raw) => size_of_val(raw.as_limbs()),
+            HandleRepr::Ssa(spectrum) => size_of_val(spectrum.spectrum()),
+            HandleRepr::Hw(spectrum) => size_of_val(spectrum.spectrum()),
+        }
+    }
+
     pub(crate) fn raw_checked(&self, expected: HandleProvenance) -> Result<&UBig, MultiplyError> {
         match &self.repr {
             HandleRepr::Raw(raw) if self.provenance == expected => Ok(raw),

@@ -14,10 +14,11 @@
 //! * **latency stalls** (a slow card: queueing and deadline accounting
 //!   must attribute the misses correctly),
 //!
-//! plus an optional **poison operand** whose very preparation panics, so
-//! the quarantine path (`he_accel::serve::ServeError::Poisoned`) can be
-//! driven end to end: a poison job takes down every flush it joins until
-//! the fleet isolates and quarantines it.
+//! plus an optional **poison operand** that panics the device whenever it
+//! is prepared or multiplied raw, so the quarantine path
+//! (`he_accel::serve::ServeError::Poisoned`) can be driven end to end: a
+//! poison job takes down every flush it joins until the fleet isolates
+//! and quarantines it.
 //!
 //! Every fault fires on a schedule derived **only** from the plan's seed
 //! and the wrapper's own call counter — no clocks, no thread identity —
@@ -297,7 +298,12 @@ impl<M: Multiplier> Multiplier for FaultyMultiplier<M> {
     ) -> Result<(), MultiplyError> {
         let k = self.flushes.fetch_add(1, Ordering::Relaxed);
         self.inject(k)?;
-        self.inner.multiply_batch_into(jobs, out)
+        // Job by job through this wrapper's own entry points: a serving
+        // card runs operands it has not cached raw, inside the batch, and
+        // the poison must be as deadly there as in `prepare`.
+        jobs.iter()
+            .zip(out)
+            .try_for_each(|(job, slot)| self.multiply_job_into(job, slot))
     }
 
     fn trim_resources(&self) {
@@ -355,7 +361,7 @@ mod tests {
     }
 
     #[test]
-    fn poison_operand_panics_in_prepare_only() {
+    fn poison_operand_panics_wherever_it_reaches_the_device() {
         let poison = UBig::from(0xbad_f00du64);
         let faulty = FaultyMultiplier::new(
             SsaSoftware::for_operand_bits(256).unwrap(),
@@ -364,9 +370,15 @@ mod tests {
         // Benign operands prepare and multiply fine.
         assert!(faulty.prepare(&UBig::from(5u64)).is_ok());
         assert_eq!(run_once(&faulty).unwrap(), UBig::from(42u64));
-        // The poison operand takes the device down at preparation.
+        // The poison operand takes the device down at preparation…
         let death = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _ = faulty.prepare(&poison);
+        }));
+        assert!(death.is_err());
+        // …and raw inside a batch.
+        let death = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let jobs = [ProductJob::Raw(&poison, &poison)];
+            let _ = faulty.multiply_batch_into(&jobs, &mut [UBig::zero()]);
         }));
         assert!(death.is_err());
     }

@@ -1,5 +1,7 @@
 //! What an operator sets ([`ServeConfig`]) and what the fleet reports
-//! back ([`ServeStats`] per card, [`PoolStats`] per fleet).
+//! back ([`ServeStats`] per card, [`PoolStats`] per fleet). Two rules are
+//! not knobs: a free card claims pending work at once, and the cache
+//! admits an inline operand on its second sighting.
 
 use std::time::Duration;
 
@@ -14,7 +16,7 @@ pub enum FlushPolicy {
     #[default]
     Edf,
     /// Strict arrival order, deadlines ignored for *selection* (expiry
-    /// and early-flush pulls still apply).
+    /// still applies).
     Fifo,
 }
 
@@ -23,7 +25,6 @@ pub enum FlushPolicy {
 ///
 /// ```
 /// use he_accel::prelude::*;
-/// use std::time::Duration;
 ///
 /// // A small card and a big card behind one queue: by-size routing
 /// // sends each job to a card whose transform fits it.
@@ -34,7 +35,6 @@ pub enum FlushPolicy {
 ///     ],
 ///     ServeConfig {
 ///         route: RoutePolicy::BySize,
-///         max_delay: Duration::from_millis(1),
 ///         ..ServeConfig::default()
 ///     },
 /// );
@@ -67,26 +67,27 @@ pub struct ServeConfig {
     /// non-blocking one sheds once this many jobs are pending (minimum
     /// 1). Claimed micro-batches no longer count against the bound.
     pub queue_capacity: usize,
-    /// Flush a micro-batch when this many jobs are pending (minimum 1).
+    /// The most jobs one flush takes (minimum 1). A free card claims
+    /// whatever it may run the moment anything is pending — it never
+    /// waits for a batch to fill — so batches form only from what queued
+    /// while every card was busy.
     pub max_batch: usize,
-    /// Flush a micro-batch when the oldest pending job has waited this
-    /// long, even if the batch is not full — bounds added latency under
-    /// light traffic.
-    pub max_delay: Duration,
     /// How a flush selects its jobs from the shared queue.
     pub policy: FlushPolicy,
     /// How jobs are matched to cards of differing transform geometry
     /// (irrelevant on homogeneous fleets).
     pub route: RoutePolicy,
-    /// Prepared handles retained **per card**, digest-keyed and pinned
-    /// together (least recently used evicted first, pins last); `0`
-    /// disables caching and every job runs as a raw three-transform
-    /// product. Each entry holds the operand plus its full cached
-    /// spectrum (at the paper's 64K-point plan roughly 0.6 MB), so this
-    /// knob bounds each card's resident memory. Backends whose handles
-    /// cache nothing (the classical algorithms) disable the cache
-    /// automatically.
-    pub cache_capacity: usize,
+    /// Bytes of prepared handles retained **per card** between flushes,
+    /// digest-keyed and pinned together (least recently used evicted
+    /// first, pins last); `0` disables caching and every job runs as a
+    /// raw three-transform product. An entry weighs its operand plus its
+    /// cached spectrum (608 KiB at the paper's 64K-point plan, so the
+    /// default keeps about a hundred paper-size operands resident). An
+    /// inline operand is admitted on its **second** sighting — one-shot
+    /// operands run raw and never take a slot; pins are admitted at
+    /// once. Backends whose handles cache nothing (the classical
+    /// algorithms) disable the cache automatically.
+    pub cache_bytes: usize,
     /// After this long with no traffic a card releases its backend's idle
     /// working memory ([`crate::Multiplier::trim_resources`]) **and** its
     /// cached handles — a resident server must not pin a burst's worth
@@ -119,10 +120,9 @@ impl Default for ServeConfig {
         ServeConfig {
             queue_capacity: 256,
             max_batch: 64,
-            max_delay: Duration::from_millis(5),
             policy: FlushPolicy::Edf,
             route: RoutePolicy::Shared,
-            cache_capacity: 128,
+            cache_bytes: 64 << 20,
             idle_trim_after: Duration::from_millis(250),
             retry_limit: 2,
             restart_cap: 3,
@@ -163,7 +163,8 @@ pub struct ServeStats {
     pub shed: u64,
     /// Inline-operand lookups that hit the card's cache.
     pub cache_hits: u64,
-    /// Inline-operand lookups that paid a fresh preparation.
+    /// Inline-operand lookups that missed: run raw on a first sighting,
+    /// prepared and cached once admitted.
     pub cache_misses: u64,
     /// Operand lookups resolved from the card's **pinned** entries — the
     /// operands a [`ClientSession::register`](super::ClientSession::register)

@@ -9,14 +9,14 @@
 //! from one of each:
 //!
 //! * **One server.** [`ServerPool`] owns the cards (one is a fleet of
-//!   one) and the bounded queue they share. Pending jobs are
-//!   micro-batched: a card claims a flush when [`ServeConfig::max_batch`]
-//!   jobs are waiting or the oldest has waited
-//!   [`ServeConfig::max_delay`], earliest deadlines first
-//!   ([`FlushPolicy`]), an urgent deadline pulling the flush earlier; on
-//!   a heterogeneous fleet [`RoutePolicy::BySize`] keeps jobs off cards
-//!   too small for them. A job whose deadline passes before execution is
-//!   answered [`ServeError::Expired`] instead of being run.
+//!   one) and the bounded queue they share. A free card claims whatever
+//!   it may run the moment anything is pending — up to
+//!   [`ServeConfig::max_batch`] jobs, earliest deadlines first
+//!   ([`FlushPolicy`]) — so micro-batches form only from what queued
+//!   while every card was busy; on a heterogeneous fleet
+//!   [`RoutePolicy::BySize`] keeps jobs off cards too small for them. A
+//!   job whose deadline passes before execution is answered
+//!   [`ServeError::Expired`] instead of being run.
 //! * **One way in.** Everything that accepts jobs is a [`Submitter`] —
 //!   the pool, a [`ClientSession`] over it, a remote transport — and
 //!   implements a single method: request + sink + block-or-shed.
@@ -32,13 +32,15 @@
 //!   with owned halves. Cancelling ([`ProductTicket::cancel`],
 //!   [`CancelHandle`]) drops a job that is still queued.
 //! * **One cache.** Each card keeps a keyed LRU of prepared operand
-//!   handles under one [`ServeConfig::cache_capacity`] budget: inline
+//!   handles under one [`ServeConfig::cache_bytes`] budget: inline
 //!   operands by digest (hashed once per flush, collision-verified),
 //!   operands a [`ClientSession::register`] call pinned by id (never
-//!   hashed, evicted last). A recurring operand — a running accumulator,
-//!   a fixed key element, a SIMD mask — therefore lands on the
-//!   one-cached/both-cached rungs of the batch ladder without the caller
-//!   managing handles, and a flush's misses are prepared in parallel.
+//!   hashed, evicted last). An inline operand earns its slot the second
+//!   time its digest is seen, so one-shot operands run raw and hold no
+//!   memory. A recurring operand — a running accumulator, a fixed key
+//!   element, a SIMD mask — therefore lands on the one-cached/both-cached
+//!   rungs of the batch ladder without the caller managing handles, and
+//!   a flush's admitted misses are prepared in parallel.
 //!   Handles are provenance-stamped, so cards never share spectra unless
 //!   their transform geometry matches. A pool spawned with
 //!   [`ServerPool::spawn_speculative`] additionally pre-transforms the
@@ -59,7 +61,7 @@
 //!
 //! [`ServedMultiplier`] closes the loop with the DGHV layer: it
 //! implements [`he_dghv::CiphertextMultiplier`] over any [`Submitter`],
-//! so circuit evaluation schedules whole levels as one micro-batch.
+//! so circuit evaluation submits whole levels for the fleet to batch.
 //!
 //! # Example
 //!

@@ -101,7 +101,7 @@ impl ServerPool {
 
     /// Like [`ServerPool::spawn`], with one extra engine dedicated to
     /// **speculative both-cached promotion**: a background task that
-    /// watches which digests hit the cards' caches and pre-transforms
+    /// watches which digests the cards keep sighting and pre-transforms
     /// the fresh partners of those recurring operands while they wait in
     /// the queue, off the cards' critical path. Cards claim the staged
     /// spectra at flush time ([`ServeStats::speculative_hits`]); spectra
@@ -260,11 +260,11 @@ impl ServerPool {
     ///
     /// let pool = ServerPool::spawn(
     ///     vec![EvalEngine::new(SsaSoftware::for_operand_bits(256)?)],
-    ///     ServeConfig { max_delay: Duration::from_secs(10), ..ServeConfig::default() },
+    ///     ServeConfig::default(),
     /// );
     /// let ticket = pool.submit(ProductRequest::new(UBig::from(6u64), UBig::from(7u64)))?;
-    /// // Intake stops, the queued job still completes (the long batch
-    /// // window does not stall the drain), and the fleet joins.
+    /// // Intake stops, the accepted job still completes, and the fleet
+    /// // joins.
     /// let outcome = pool.drain(Duration::from_secs(30));
     /// assert!(outcome.clean);
     /// assert_eq!(outcome.stats.total().completed, 1);

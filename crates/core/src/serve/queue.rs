@@ -1,9 +1,9 @@
 //! What enters the fleet — [`ProductRequest`] — and where it waits: the
 //! bounded shared queue every submission funnels into, and the pure
-//! claim functions ([`flush_due`], [`pop_batch`]) cards select their
-//! micro-batches with.
+//! claim decision ([`pop_batch`]) a free card selects its next flush
+//! with.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -11,13 +11,13 @@ use std::time::{Duration, Instant};
 use he_bigint::UBig;
 use he_ntt::par::lock_or_recover;
 
-use super::cache::{digest, KeyedLru, OperandCache};
+use super::cache::{digest, KeyedLru, OperandCache, RecentDigests};
 use super::completion::{CompletionSink, SubmitError};
 use super::config::{CardHealth, FlushPolicy, ServeConfig, ServeStats};
 
-/// Speculatively prepared handles retained in the pool-shared staging
-/// store before cards claim them (oldest evicted first).
-const SPECULATE_STORE_CAPACITY: usize = 32;
+/// Bytes of speculatively prepared handles the pool-shared staging store
+/// retains before cards claim them (oldest evicted first).
+const SPECULATE_STORE_BYTES: usize = 16 << 20;
 
 /// One side of a product request: an inline operand, or a reference to
 /// an operand a session registered (pinned in every card's cache by id —
@@ -67,12 +67,10 @@ impl ProductRequest {
     /// Attaches a deadline `timeout` from now: if the job has not
     /// *started executing* by then, it is answered with
     /// [`ServeError::Expired`](super::ServeError::Expired) instead of
-    /// occupying a card. A deadline inside the micro-batch window pulls
-    /// its flush earlier (scheduled a small margin before the deadline so
-    /// execution starts in time), and under [`FlushPolicy::Edf`] an
-    /// earlier deadline also wins a seat in the next flush; deadlines
-    /// tighter than that scheduling margin are best-effort even on an
-    /// idle server.
+    /// occupying a card. A free card claims pending work at once, so a
+    /// deadline is only ever at risk behind a busy fleet — where, under
+    /// [`FlushPolicy::Edf`], an earlier deadline wins a seat in the next
+    /// flush.
     pub fn with_deadline(mut self, timeout: Duration) -> ProductRequest {
         self.deadline = Some(Instant::now() + timeout);
         self
@@ -141,19 +139,9 @@ impl ProductRequest {
     }
 }
 
-/// How far before a job's deadline its flush is scheduled. The margin
-/// must cover the worker's wakeup-and-dispatch latency *and* the flush's
-/// own operand-preparation phase (the in-flush expiry check runs after
-/// prepare): a flush fired *at* the deadline would start execution just
-/// past it and expire the very job the early flush was meant to save.
-/// Condvar wakeup overshoot alone is routinely past 1 ms on a loaded
-/// host, so this is milliseconds, not microseconds.
-const DEADLINE_SCHEDULING_MARGIN: Duration = Duration::from_millis(10);
-
 /// One queued job.
 pub(super) struct Submitted {
     pub(super) request: ProductRequest,
-    pub(super) enqueued: Instant,
     /// Arrival order, the FIFO rank and the EDF tie-breaker.
     pub(super) seq: u64,
     /// `(digest(a), digest(b))`, stamped at submission **outside** the
@@ -166,13 +154,6 @@ pub(super) struct Submitted {
     /// by-size eligibility checks under the queue lock are integer
     /// compares.
     pub(super) required_bits: usize,
-    /// When a card dequeued the job (stamped on claim; equals `enqueued`
-    /// until then). In-queue expiry compares against this: a deadline
-    /// already past at dequeue is hopeless, while one still ahead is
-    /// honored by pulling the flush to start before it — so expiry is
-    /// decided by the ordering of two events, not by how fast a worker
-    /// happens to wake.
-    pub(super) seen: Instant,
     /// Times this job has been re-queued after a failed flush (panic or
     /// transient device fault); [`ServeConfig::retry_limit`] bounds it.
     pub(super) retries: u32,
@@ -220,12 +201,13 @@ pub(super) struct PoolShared {
     /// Per-card stats snapshots, refreshed at every flush boundary so a
     /// live fleet can be observed.
     pub(super) live: Vec<Mutex<ServeStats>>,
-    /// Whether a speculative preparer is running (hot-digest tracking is
-    /// skipped entirely when not).
+    /// Whether a speculative preparer is running.
     pub(super) speculation: bool,
-    /// Digests that hit some card's cache since the fleet last went idle;
-    /// the speculative preparer reads it to find hot recurring operands.
-    pub(super) hot: Mutex<HashSet<u64>>,
+    /// Inline digests the cards sighted lately, fleet-wide: what
+    /// second-sight admission asks before caching an operand, and where
+    /// the speculative preparer finds the recurring side of a queued
+    /// job.
+    pub(super) recent: Mutex<RecentDigests>,
     /// Speculatively prepared handles staged for cards to claim.
     pub(super) spec_store: Mutex<OperandCache>,
     pub(super) spec_prepares: AtomicU64,
@@ -236,11 +218,11 @@ pub(super) struct PoolShared {
     /// with each request (an `Arc` clone), so cards prepare pins lazily
     /// from the job in hand.
     pub(super) pin_seq: AtomicU64,
-    /// Every live session registration, bounded like the per-card caches
-    /// (oldest registrations age out first). A card reborn from the
-    /// backend factory replays it into its fresh engine, so restarted
-    /// cards keep serving pinned operands hash-free without waiting for
-    /// the next sighting of each pin.
+    /// Every live session registration, its operands bounded by the same
+    /// byte budget as a card's cache (oldest registrations age out
+    /// first). A card reborn from the backend factory replays it into
+    /// its fresh engine, so restarted cards keep serving pinned operands
+    /// hash-free without waiting for the next sighting of each pin.
     pub(super) pin_registry: Mutex<KeyedLru<()>>,
 }
 
@@ -274,12 +256,12 @@ impl PoolShared {
                 .map(|_| Mutex::new(ServeStats::default()))
                 .collect(),
             speculation,
-            hot: Mutex::new(HashSet::new()),
-            spec_store: Mutex::new(KeyedLru::new(SPECULATE_STORE_CAPACITY)),
+            recent: Mutex::new(RecentDigests::new()),
+            spec_store: Mutex::new(OperandCache::of_handles(SPECULATE_STORE_BYTES)),
             spec_prepares: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             pin_seq: AtomicU64::new(0),
-            pin_registry: Mutex::new(KeyedLru::new(config.cache_capacity)),
+            pin_registry: Mutex::new(KeyedLru::new(config.cache_bytes, |()| 0)),
         }
     }
 
@@ -401,14 +383,11 @@ impl PoolShared {
             }
             state = self.not_full.wait(state).unwrap_or_else(|e| e.into_inner());
         }
-        let enqueued = Instant::now();
         state.pending.push_back(Submitted {
             request,
-            enqueued,
             seq: self.seq.fetch_add(1, Ordering::Relaxed),
             digests,
             required_bits,
-            seen: enqueued,
             retries: 0,
             suspect: false,
             reply,
@@ -419,58 +398,52 @@ impl PoolShared {
     }
 }
 
-/// When the batch currently forming must flush: the oldest *eligible*
-/// job's age bound, pulled earlier by any eligible job's deadline
-/// (running a job *before* its deadline beats expiring it at the full
-/// batch window). The deadline pull is scheduled
-/// [`DEADLINE_SCHEDULING_MARGIN`] *before* the deadline itself, so the
-/// job has started executing — not just been scheduled — by the instant
-/// it promised.
-pub(super) fn flush_due(
-    pending: &VecDeque<Submitted>,
-    eligible: &[usize],
-    config: &ServeConfig,
-) -> Instant {
-    let jobs = || eligible.iter().filter_map(|&i| pending.get(i));
-    // An empty (or stale) eligible set means there is nothing to wait
-    // for: flush now rather than panic a worker over a racing index.
-    let Some(oldest) = jobs().map(|job| job.enqueued).min() else {
-        return Instant::now();
-    };
-    jobs()
-        .filter_map(|job| job.request.deadline)
-        .map(|d| d.checked_sub(DEADLINE_SCHEDULING_MARGIN).unwrap_or(d))
-        .fold(oldest + config.max_delay, Instant::min)
-}
-
-/// Claims up to `max_batch` jobs from the claiming card's eligible set
-/// under the configured [`FlushPolicy`] and stamps their dequeue
-/// instant; ineligible jobs stay queued for the cards that fit them.
+/// The claim decision: which of the claiming card's `eligible` jobs
+/// (queue positions, ascending) leave `pending` as its next flush. A
+/// suspect — a job that rode a panicked flush — goes **alone** and
+/// first: if it is poisonous it takes down only that flush, and if it is
+/// an innocent batch-mate it completes without queueing behind anyone.
+/// Otherwise the card takes up to `max_batch` jobs under the configured
+/// [`FlushPolicy`]. Batch and remainder both keep arrival order.
 pub(super) fn pop_batch(
     pending: &mut VecDeque<Submitted>,
     eligible: &[usize],
     config: &ServeConfig,
 ) -> Vec<Submitted> {
-    let take = eligible.len().min(config.max_batch.max(1));
-    let mut order: Vec<usize> = eligible.to_vec();
-    if matches!(config.policy, FlushPolicy::Edf) {
-        // Earliest deadline first, deadline-less jobs after them, arrival
-        // order as tie-breaker; a stale index (nothing pending there)
-        // sorts last.
-        order.sort_by_key(|&i| {
-            pending.get(i).map_or((true, true, None, 0), |job| {
+    let job = |i: &usize| pending.get(*i);
+    let suspect = eligible
+        .iter()
+        .find(|i| job(i).is_some_and(|job| job.suspect));
+    let mut chosen: Vec<usize> = match suspect {
+        Some(&suspect) => vec![suspect],
+        None => eligible.to_vec(),
+    };
+    let take = config.max_batch.max(1);
+    if chosen.len() > take && matches!(config.policy, FlushPolicy::Edf) {
+        // Seats are contested: earliest deadline first, deadline-less
+        // jobs after them, arrival order as tie-breaker; a stale index
+        // (nothing pending there) sorts last.
+        chosen.sort_by_key(|i| {
+            job(i).map_or((true, true, None, 0), |job| {
                 let deadline = job.request.deadline;
                 (false, deadline.is_none(), deadline, job.seq)
             })
         });
     }
-    let chosen: HashSet<usize> = order.into_iter().take(take).collect();
-    let now = Instant::now();
-    let mut batch = Vec::with_capacity(take);
-    let mut rest = VecDeque::with_capacity(pending.len().saturating_sub(take));
-    for (i, mut job) in pending.drain(..).enumerate() {
-        if chosen.contains(&i) {
-            job.seen = now;
+    chosen.truncate(take);
+    chosen.sort_unstable();
+    // The common case — arrival order, or every pending job taken — is
+    // the head of the queue: no rebuild.
+    if chosen.last().is_none_or(|&last| last + 1 == chosen.len()) {
+        return pending.drain(..chosen.len().min(pending.len())).collect();
+    }
+    // By-size and deadline-ranked claims sit anywhere in the queue:
+    // rebuild it around them.
+    let mut chosen = chosen.iter().peekable();
+    let mut batch = Vec::with_capacity(chosen.len());
+    let mut rest = VecDeque::with_capacity(pending.len().saturating_sub(chosen.len()));
+    for (i, job) in pending.drain(..).enumerate() {
+        if chosen.next_if_eq(&&i).is_some() {
             batch.push(job);
         } else {
             rest.push_back(job);
@@ -494,10 +467,8 @@ mod tests {
         Submitted {
             required_bits: request.required_bits(),
             request,
-            enqueued: base,
             seq,
             digests: None,
-            seen: base,
             retries: 0,
             suspect: false,
             reply: completion_channel().0.sink(seq),
@@ -575,6 +546,80 @@ mod tests {
             pending.iter().map(|j| j.seq).collect::<Vec<_>>(),
             vec![0, 2, 4]
         );
+    }
+
+    #[test]
+    fn a_free_card_claims_whatever_is_pending_up_to_max_batch() {
+        // The claim decision takes the queue and the eligible set and
+        // nothing else — no clock, no age, no window: a lone job is a
+        // flush of one, a backlog is cut at `max_batch`.
+        let config = ServeConfig {
+            max_batch: 3,
+            ..ServeConfig::default()
+        };
+        let mut pending = pending_of(Instant::now(), &[(0, Some(900))]);
+        assert_eq!(seqs(&pop_batch(&mut pending, &[0], &config)), vec![0]);
+        assert!(pending.is_empty());
+        let jobs: Vec<(u64, Option<u64>)> = (0..5).map(|seq| (seq, None)).collect();
+        let mut pending = pending_of(Instant::now(), &jobs);
+        let all: Vec<usize> = (0..pending.len()).collect();
+        assert_eq!(seqs(&pop_batch(&mut pending, &all, &config)), vec![0, 1, 2]);
+        assert_eq!(seqs(&pop_batch(&mut pending, &[0, 1], &config)), vec![3, 4]);
+        assert!(pop_batch(&mut pending, &[], &config).is_empty());
+    }
+
+    #[test]
+    fn a_suspect_is_claimed_alone_and_first() {
+        let config = ServeConfig::default();
+        let mut pending = pending_of(Instant::now(), &[(0, Some(1)), (1, None), (2, None)]);
+        pending[1].suspect = true;
+        pending[2].suspect = true;
+        // Not even an urgent deadline shares a flush with a suspect…
+        assert_eq!(seqs(&pop_batch(&mut pending, &[0, 1, 2], &config)), vec![1]);
+        // …a suspect this card may not run stays where it is…
+        assert_eq!(seqs(&pop_batch(&mut pending, &[0], &config)), vec![0]);
+        // …and two suspects never ride together.
+        assert_eq!(seqs(&pop_batch(&mut pending, &[0], &config)), vec![2]);
+        assert!(pending.is_empty());
+    }
+
+    #[test]
+    fn head_of_queue_and_scattered_claims_agree() {
+        // `pop_batch` drains the head of the queue when the chosen jobs
+        // are its head and rebuilds the queue around them when they are
+        // not. The same four jobs claimed both ways — once as the whole
+        // head, once from behind a job this card may not run — must come
+        // out as the same batch and leave the same remainder order.
+        let base = Instant::now();
+        let jobs: Vec<(u64, Option<u64>)> = (0..6).map(|seq| (seq, Some(100 + seq))).collect();
+        for policy in [FlushPolicy::Edf, FlushPolicy::Fifo] {
+            let config = ServeConfig {
+                max_batch: 4,
+                policy,
+                ..ServeConfig::default()
+            };
+            let mut head = pending_of(base, &jobs);
+            let drained = pop_batch(&mut head, &[0, 1, 2, 3, 4, 5], &config);
+            let mut blocked = pending_of(base, &[(9, None)]);
+            blocked.extend(pending_of(base, &jobs));
+            let rebuilt = pop_batch(&mut blocked, &[1, 2, 3, 4, 5, 6], &config);
+            assert_eq!(seqs(&drained), vec![0, 1, 2, 3], "{policy:?}");
+            assert_eq!(seqs(&rebuilt), seqs(&drained), "{policy:?}");
+            assert_eq!(seqs(head.make_contiguous()), vec![4, 5], "{policy:?}");
+            assert_eq!(seqs(blocked.make_contiguous()), vec![9, 4, 5], "{policy:?}");
+        }
+        // A ranked claim whose winners sit mid-queue goes through the
+        // rebuild and still leaves the rest in arrival order.
+        let config = ServeConfig {
+            max_batch: 2,
+            ..ServeConfig::default()
+        };
+        let mut pending = pending_of(base, &[(0, None), (1, Some(9)), (2, None), (3, Some(5))]);
+        assert_eq!(
+            seqs(&pop_batch(&mut pending, &[0, 1, 2, 3], &config)),
+            vec![1, 3]
+        );
+        assert_eq!(seqs(pending.make_contiguous()), vec![0, 2]);
     }
 
     #[test]

@@ -77,9 +77,9 @@ impl ClientSession {
     /// Registers a recurring operand under a client-local name. Every
     /// card pins its prepared handle by id (prepared lazily at the
     /// operand's first flush, re-prepared after an idle trim), never
-    /// digest-hashed; pins share the card's `cache_capacity` budget and
-    /// are the last entries evicted, an evicted live pin being
-    /// re-prepared at its next use. Re-registering a name replaces the
+    /// digest-hashed; pins share the card's `cache_bytes` budget (they
+    /// skip its second-sight admission) and are the last entries
+    /// evicted, an evicted live pin being re-prepared at its next use. Re-registering a name replaces the
     /// operand (the old pin ages out of every card's cache).
     pub fn register(&mut self, name: impl Into<String>, operand: UBig) {
         let id = self.shared.pin_seq.fetch_add(1, Ordering::Relaxed);
@@ -181,9 +181,8 @@ impl Submitter for ClientSession {
 
 /// A [`CiphertextMultiplier`] that routes every homomorphic product
 /// through a serving front, so DGHV circuit evaluation (AND-trees,
-/// comparator sweeps, SIMD mask products) schedules whole levels as one
-/// micro-batch on the resident fleet (see
-/// `he_dghv::CircuitEvaluator::and_tree`).
+/// comparator sweeps, SIMD mask products) submits each level whole to
+/// the resident fleet (see `he_dghv::CircuitEvaluator::and_tree`).
 ///
 /// The fleet's caches make the recurring operands of those circuits
 /// (masks, accumulators) hit the cached-transform rungs without any

@@ -1,6 +1,7 @@
-//! One card of the fleet — claim a micro-batch, resolve its operands
-//! against the card's cache, run it under panic containment, answer every
-//! job — and the speculative preparer that works ahead of the cards.
+//! One card of the fleet — claim whatever is pending the moment the card
+//! is free, resolve its operands against the card's cache, run it under
+//! panic containment, answer every job — and the speculative preparer
+//! that works ahead of the cards.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -14,7 +15,7 @@ use he_ntt::par::lock_or_recover;
 use super::cache::{digest, Key, OperandCache};
 use super::completion::{CompletionSink, ServeError};
 use super::config::{CardHealth, RoutePolicy, ServeStats};
-use super::queue::{flush_due, pop_batch, Operand, PoolShared, Submitted};
+use super::queue::{pop_batch, Operand, PoolShared, Submitted};
 use crate::engine::{EvalEngine, OperandHandle, ProductJob};
 use crate::multiplier::{Multiplier, MultiplyError};
 
@@ -29,6 +30,10 @@ type Reply = (CompletionSink, Result<UBig, ServeError>);
 /// its flush and carried to phase 2 (`None` = the cache is off).
 type JobKeys = (Option<Key>, Option<Key>);
 
+/// How long the speculative preparer waits before rescanning a queue
+/// that held nothing speculable.
+const SPECULATE_POLL: Duration = Duration::from_millis(5);
+
 /// What a card found when it went back to the queue.
 enum Claim {
     Batch(Vec<Submitted>),
@@ -39,18 +44,19 @@ enum Claim {
 /// Phase-1 bookkeeping of one flush.
 #[derive(Default)]
 struct FlushPlan<'a> {
-    /// Operands to prepare, in first-seen order.
-    missing: Vec<(Key, &'a Operand)>,
-    /// Keys already claimed from the staging store or put on `missing`.
-    scheduled: HashSet<Key>,
-    /// Repeat sightings of scheduled keys. Once the first sighting's
-    /// preparation lands, every repeat is served from the cache in phase
-    /// 2 — a hit, same as a cross-flush hit. Until then the repeats stay
-    /// provisional (a raw or failed preparation caches nothing, so
-    /// crediting them up front would invent hits).
+    /// Operands found neither cached nor staged, in first-seen order:
+    /// what admission decides on.
+    unresolved: Vec<(Key, &'a Operand)>,
+    /// Every key that missed, with its repeat sightings after the first.
+    /// Once the first sighting's preparation lands, every repeat is
+    /// served from the cache in phase 2 — a hit, same as a cross-flush
+    /// hit. Until then the repeats stay provisional (a raw or failed
+    /// preparation caches nothing, so crediting them up front would
+    /// invent hits).
     repeats: HashMap<Key, u64>,
-    /// Digests that hit this flush, for the speculative preparer.
-    hot_hits: Vec<u64>,
+    /// Digests that hit this flush: still recurring, so kept fresh in
+    /// the fleet's recent-digest set.
+    hits: Vec<u64>,
 }
 
 /// One card of the fleet: an engine, its private cache, and its counters.
@@ -59,7 +65,7 @@ pub(super) struct CardWorker<M> {
     engine: EvalEngine<M>,
     shared: Arc<PoolShared>,
     /// Prepared handles of inline operands (digest-keyed) and of
-    /// session-registered ones (pin-keyed), under one `cache_capacity`
+    /// session-registered ones (pin-keyed), under one `cache_bytes`
     /// budget; emptied by an idle trim and rebuilt lazily from the jobs
     /// in hand (requests carry their pinned operands).
     cache: OperandCache,
@@ -122,7 +128,7 @@ impl<M: Multiplier + Sync> CardWorker<M> {
         CardWorker {
             index,
             engine,
-            cache: OperandCache::new(shared.config.cache_capacity),
+            cache: OperandCache::of_handles(shared.config.cache_bytes),
             capacity: shared.capacity(index),
             shared,
             stats: ServeStats::default(),
@@ -194,14 +200,11 @@ impl<M: Multiplier + Sync> CardWorker<M> {
                     self.stats.idle_trims += 1;
                     self.trimmed = true;
                     let idle_now = self.shared.trimmed_cards.fetch_add(1, Ordering::AcqRel) + 1;
-                    // The *shared* speculative state empties only once the
-                    // whole fleet has gone quiet: hot statistics from a
-                    // past burst must not steer speculation for the next,
-                    // but wiping the staged spectra while siblings are
-                    // still loaded would defeat speculation exactly under
-                    // sustained load.
+                    // The *shared* staging store empties only once the
+                    // whole fleet has gone quiet: wiping staged spectra
+                    // while siblings are still loaded would defeat
+                    // speculation exactly under sustained load.
                     if self.shared.speculation && idle_now == self.shared.live.len() {
-                        lock_or_recover(&self.shared.hot).clear();
                         lock_or_recover(&self.shared.spec_store).clear();
                     }
                     self.publish();
@@ -219,61 +222,38 @@ impl<M: Multiplier + Sync> CardWorker<M> {
         }
     }
 
-    /// Blocks until there is a micro-batch **this card may run**, the
-    /// card should trim, or the fleet is shut down.
+    /// Blocks until **this card may run** something that is pending,
+    /// the card should trim, or the fleet is shut down. A card in here
+    /// is by definition free, so it never waits in front of a job it
+    /// could run: whatever is eligible is claimed now ([`pop_batch`]),
+    /// and batches form only from what queued while every card was
+    /// busy — the rule `he_hwsim::fleet` simulates.
     fn claim(&self) -> Claim {
         let config = &self.shared.config;
-        let max_batch = config.max_batch.max(1);
         let mut state = self.shared.lock_state();
+        let mut timed_out = false;
         loop {
             // Jobs pending for *other* cards are none of this card's
             // business: an empty eligible set idles (and eventually
             // trims) this card even while its siblings are loaded.
             let eligible = self.eligible_indices(&state.pending);
-            if eligible.is_empty() {
-                if state.closed {
-                    return Claim::Closed;
-                }
-                // One trim per idle period: a card that already trimmed
-                // parks until traffic (or shutdown) wakes the fleet.
-                let patience = (!self.trimmed).then_some(config.idle_trim_after);
-                let (next, timed_out) = self.shared.wait_for_push(state, patience);
-                state = next;
-                if timed_out && !state.closed && self.eligible_indices(&state.pending).is_empty() {
-                    return Claim::IdleTrim;
-                }
-                continue;
-            }
-            // A suspect job (it rode a panicked flush) is claimed ALONE
-            // and immediately: if it is poisonous it takes down only this
-            // flush, and if it is an innocent batch-mate it completes
-            // without waiting out another batch window it already paid.
-            let suspect_pos = eligible
-                .iter()
-                .copied()
-                .find(|&i| state.pending.get(i).is_some_and(|job| job.suspect));
-            if let Some(pos) = suspect_pos {
-                if let Some(mut job) = state.pending.remove(pos) {
-                    job.seen = Instant::now();
-                    drop(state);
-                    self.shared.not_full.notify_all();
-                    return Claim::Batch(vec![job]);
-                }
-                continue;
-            }
-            let now = Instant::now();
-            let due = flush_due(&state.pending, &eligible, config);
-            if state.closed || eligible.len() >= max_batch || now >= due {
+            if !eligible.is_empty() {
                 let batch = pop_batch(&mut state.pending, &eligible, config);
                 drop(state);
                 // Capacity was freed; unblock waiting submitters.
                 self.shared.not_full.notify_all();
                 return Claim::Batch(batch);
             }
-            // The batch is still filling: wait out the window, waking on
-            // every push to re-evaluate (a new job may complete the batch
-            // or pull the window earlier with its deadline).
-            state = self.shared.wait_for_push(state, Some(due - now)).0;
+            if state.closed {
+                return Claim::Closed;
+            }
+            if timed_out {
+                return Claim::IdleTrim;
+            }
+            // One trim per idle period: a card that already trimmed
+            // parks until traffic (or shutdown) wakes the fleet.
+            let patience = (!self.trimmed).then_some(config.idle_trim_after);
+            (state, timed_out) = self.shared.wait_for_push(state, patience);
         }
     }
 
@@ -292,11 +272,8 @@ impl<M: Multiplier + Sync> CardWorker<M> {
         // sink tells whoever still listens `Closed`. Then expire jobs
         // whose deadline had already passed when this card dequeued them
         // — they were hopeless before any flush could act, and the miss
-        // belongs to queueing, not to this flush. A deadline still ahead
-        // at dequeue is honored below: the claim loop pulled this flush
-        // to start before it, so the decision is the ordering of two
-        // recorded events, not a race against the worker's wakeup
-        // latency.
+        // belongs to queueing, not to this flush.
+        let dequeued = Instant::now();
         let mut live: Vec<Submitted> = Vec::with_capacity(batch.len());
         for job in batch {
             if job.reply.is_cancelled() {
@@ -304,9 +281,9 @@ impl<M: Multiplier + Sync> CardWorker<M> {
                 continue;
             }
             match job.request.deadline() {
-                Some(deadline) if deadline < job.seen => {
+                Some(deadline) if deadline < dequeued => {
                     self.stats.expired_in_queue += 1;
-                    let missed_by = job.seen.saturating_duration_since(deadline);
+                    let missed_by = dequeued.saturating_duration_since(deadline);
                     replies.push((job.reply, Err(ServeError::Expired { missed_by })));
                 }
                 _ => live.push(job),
@@ -346,7 +323,7 @@ impl<M: Multiplier + Sync> CardWorker<M> {
         }
         if survived {
             // Evict only after the batch ran: every handle it borrowed
-            // was live, so the cache may transiently exceed its capacity
+            // was live, so the cache may transiently exceed its budget
             // within a single flush.
             self.cache.evict_to_capacity();
         } else {
@@ -381,10 +358,11 @@ impl<M: Multiplier + Sync> CardWorker<M> {
     /// Phase 1 of a flush: resolve every operand to its cache key — a
     /// pin's id, or an inline operand's digest, hashed **once** here (or
     /// already at submission, on a speculative pool) — look it up, claim
-    /// speculatively staged spectra, and prepare the remaining misses,
-    /// pinned and inline together, **in parallel** at the product level.
-    /// An operand the backend cannot prepare simply stays uncached — the
-    /// job then runs raw and surfaces the backend's own error.
+    /// speculatively staged spectra, put what is left through admission,
+    /// and prepare the admitted misses, pinned and inline together, **in
+    /// parallel** at the product level. An operand that is not admitted
+    /// (a first sighting) or that the backend cannot prepare simply
+    /// stays uncached — its job runs it raw.
     fn prepare_operands(&mut self, live: &[Submitted]) -> Vec<JobKeys> {
         if self.cache.is_disabled() {
             return vec![(None, None); live.len()];
@@ -397,9 +375,23 @@ impl<M: Multiplier + Sync> CardWorker<M> {
             let key_b = self.resolve(&job.request.b, stamp_b, &mut plan);
             keys.push((Some(key_a), Some(key_b)));
         }
-        let operands: Vec<&UBig> = plan.missing.iter().map(|(_, side)| side.value()).collect();
+        let mut recent = lock_or_recover(&self.shared.recent);
+        for digest in plan.hits {
+            recent.sight(digest);
+        }
+        // A lookup that is not admitted is still a miss.
+        let misses = &mut self.stats.cache_misses;
+        plan.unresolved.retain(|(key, _)| {
+            let repeats = plan.repeats.get(key).is_some_and(|&repeats| repeats > 0);
+            let admits = recent.admits(*key, repeats);
+            *misses += u64::from(!admits);
+            admits
+        });
+        drop(recent);
+        let admitted = plan.unresolved;
+        let operands: Vec<&UBig> = admitted.iter().map(|(_, side)| side.value()).collect();
         let prepared = self.engine.prepare_many(&operands);
-        for ((key, side), prepared) in plan.missing.iter().zip(prepared) {
+        for ((key, side), prepared) in admitted.iter().zip(prepared) {
             match prepared {
                 Ok(handle) if handle.is_cached() => {
                     self.cache.insert(*key, side.shared(), handle);
@@ -412,26 +404,17 @@ impl<M: Multiplier + Sync> CardWorker<M> {
                 // for zero transform savings — turn the cache off for
                 // good.
                 Ok(_) => {
-                    self.cache.disable();
+                    self.cache = OperandCache::of_handles(0);
                     return vec![(None, None); live.len()];
                 }
                 Err(_) => {}
             }
         }
         // The repeats of a now-cached operand are hits.
-        for (key, count) in std::mem::take(&mut plan.repeats) {
+        for (key, count) in plan.repeats {
             if self.cache.contains_key(key) {
-                self.credit_hits(key, count, &mut plan.hot_hits);
+                self.credit_hits(key, count);
             }
-        }
-        if !plan.hot_hits.is_empty() {
-            let mut hot = lock_or_recover(&self.shared.hot);
-            // Bound the statistics: a pathological stream of distinct
-            // hot digests must not grow resident memory without limit.
-            if hot.len() > 4096 {
-                hot.clear();
-            }
-            hot.extend(plan.hot_hits);
         }
         keys
     }
@@ -449,14 +432,18 @@ impl<M: Multiplier + Sync> CardWorker<M> {
             Operand::Inline(value) => Key::Digest(stamped.unwrap_or_else(|| digest(value))),
         };
         if self.cache.touch(key, side.value()) {
-            self.credit_hits(key, 1, &mut plan.hot_hits);
-        } else if !plan.scheduled.insert(key) {
-            *plan.repeats.entry(key).or_insert(0) += 1;
+            self.credit_hits(key, 1);
+            if let Key::Digest(digest) = key {
+                plan.hits.push(digest);
+            }
+        } else if let Some(repeats) = plan.repeats.get_mut(&key) {
+            *repeats += 1;
         } else if let Some((operand, handle)) = self.claim_staged(key, side.value()) {
             self.cache.insert(key, operand, handle);
             self.stats.speculative_hits += 1;
         } else {
-            plan.missing.push((key, side));
+            plan.repeats.insert(key, 0);
+            plan.unresolved.push((key, side));
         }
         key
     }
@@ -471,15 +458,10 @@ impl<M: Multiplier + Sync> CardWorker<M> {
         lock_or_recover(&self.shared.spec_store).take(key, operand, provenance)
     }
 
-    fn credit_hits(&mut self, key: Key, count: u64, hot_hits: &mut Vec<u64>) {
+    fn credit_hits(&mut self, key: Key, count: u64) {
         match key {
             Key::Pin(_) => self.stats.pinned_hits += count,
-            Key::Digest(digest) => {
-                self.stats.cache_hits += count;
-                if self.shared.speculation {
-                    hot_hits.push(digest);
-                }
-            }
+            Key::Digest(_) => self.stats.cache_hits += count,
         }
     }
 
@@ -685,23 +667,23 @@ impl<M: Multiplier + Sync> CardWorker<M> {
     }
 }
 
-/// The speculative preparer: watches the queue and the fleet's hit
-/// statistics, and transforms the fresh partners of hot recurring
-/// operands — *hot* meaning the operand's digest has hit a card's cache
-/// since the fleet last went idle — into the shared staging store, off
-/// the cards' critical path.
+/// The speculative preparer: watches the queue and the fleet's
+/// recent-digest set, and transforms the fresh partners of recurring
+/// operands — *recurring* meaning a card has sighted the operand's digest
+/// lately — into the shared staging store, off the cards' critical
+/// path.
 pub(super) fn run_speculator<M: Multiplier + Sync>(engine: EvalEngine<M>, shared: Arc<PoolShared>) {
     let config = &shared.config;
     let per_pass = config.max_batch.max(1);
     loop {
         // Snapshot speculation candidates under the queue lock: pending
-        // jobs where one side's digest is hot (its spectrum is surely
-        // cached on some card) and the other side — the stream side — is
-        // neither hot nor already staged. Digests were stamped at
-        // submission (outside this lock), so the scan is set lookups
-        // plus at most `per_pass` bounded operand clones — it never
-        // hashes operand data while submitters and cards contend on the
-        // mutex.
+        // jobs where one side's digest recurs (its spectrum is cached on
+        // some card, or will be at its next sighting) and the other side
+        // — the stream side — is neither recurring nor already staged.
+        // Digests were stamped at submission (outside this lock), so the
+        // scan is set lookups plus at most `per_pass` bounded operand
+        // clones — it never hashes operand data while submitters and
+        // cards contend on the mutex.
         let candidates: Vec<(u64, UBig)> = {
             let mut state = shared.lock_state();
             while !state.closed && state.pending.is_empty() {
@@ -710,7 +692,7 @@ pub(super) fn run_speculator<M: Multiplier + Sync>(engine: EvalEngine<M>, shared
             if state.closed {
                 return;
             }
-            let hot = lock_or_recover(&shared.hot);
+            let recent = lock_or_recover(&shared.recent);
             let store = lock_or_recover(&shared.spec_store);
             let mut picked: Vec<(u64, UBig)> = Vec::new();
             let mut picked_keys: HashSet<u64> = HashSet::new();
@@ -720,8 +702,8 @@ pub(super) fn run_speculator<M: Multiplier + Sync>(engine: EvalEngine<M>, shared
                 };
                 let (a, b) = job.request.operands();
                 for (this, key, partner_key) in [(a, key_a, key_b), (b, key_b, key_a)] {
-                    if hot.contains(&partner_key)
-                        && !hot.contains(&key)
+                    if recent.contains(partner_key)
+                        && !recent.contains(key)
                         && !store.contains_key(Key::Digest(key))
                         && picked_keys.insert(key)
                     {
@@ -736,14 +718,13 @@ pub(super) fn run_speculator<M: Multiplier + Sync>(engine: EvalEngine<M>, shared
         };
         if candidates.is_empty() {
             // Traffic is flowing but nothing is speculable right now
-            // (operands cold, or already staged); re-check after one
-            // batch window rather than spinning on the queue lock.
+            // (operands cold, or already staged); re-check after a
+            // pause rather than spinning on the queue lock.
             let state = shared.lock_state();
             if state.closed {
                 return;
             }
-            let wait = config.max_delay.max(Duration::from_millis(1));
-            drop(shared.wait_for_push(state, Some(wait)));
+            drop(shared.wait_for_push(state, Some(SPECULATE_POLL)));
             continue;
         }
         for (key, operand) in candidates {
@@ -767,7 +748,7 @@ pub(super) fn run_speculator<M: Multiplier + Sync>(engine: EvalEngine<M>, shared
 #[cfg(test)]
 mod tests {
     use super::super::cache::tests::DIGEST_CALLS;
-    use super::super::completion::{completion_channel, CompletionReceiver};
+    use super::super::completion::{completion_channel, CancelHandle, CompletionReceiver};
     use super::super::config::ServeConfig;
     use super::super::queue::ProductRequest;
     use super::*;
@@ -778,41 +759,65 @@ mod tests {
     }
 
     /// A one-card fleet whose card runs on the test's own thread: submit,
-    /// then `flush_pending` — no worker thread, no timing.
-    fn card(speculation: bool) -> CardWorker<SsaSoftware> {
-        let config = ServeConfig {
-            max_delay: Duration::ZERO,
-            ..ServeConfig::default()
-        };
+    /// then `flush_pending` — no worker thread, no timing. Whatever was
+    /// submitted before a `flush_pending` is what queued while the card
+    /// was busy, so it flushes together.
+    fn card_with(config: ServeConfig, speculation: bool) -> CardWorker<SsaSoftware> {
         let engine = engine();
         let capacities = vec![engine.operand_capacity_bits()];
         let shared = Arc::new(PoolShared::new(config, capacities, speculation));
         CardWorker::new(0, engine, shared, None)
     }
 
-    fn submit(card: &CardWorker<SsaSoftware>, pairs: &[(u64, u64)]) -> CompletionReceiver {
+    fn card(speculation: bool) -> CardWorker<SsaSoftware> {
+        card_with(ServeConfig::default(), speculation)
+    }
+
+    /// Enqueues `requests`, tagged by position; each job's cancel handle
+    /// comes back with the receiver its outcome will arrive on.
+    fn submit_all(
+        card: &CardWorker<SsaSoftware>,
+        requests: Vec<ProductRequest>,
+    ) -> (Vec<CancelHandle>, CompletionReceiver) {
         let (mint, receiver) = completion_channel();
-        for (tag, &(a, b)) in pairs.iter().enumerate() {
-            let request = ProductRequest::new(UBig::from(a), UBig::from(b));
-            card.shared
-                .enqueue(request, mint.sink(tag as u64), true)
-                .unwrap();
-        }
-        receiver
+        let cancels = requests
+            .into_iter()
+            .enumerate()
+            .map(|(tag, request)| {
+                let sink = mint.sink(tag as u64);
+                let cancel = sink.cancel_handle();
+                card.shared.enqueue(request, sink, true).unwrap();
+                cancel
+            })
+            .collect();
+        (cancels, receiver)
+    }
+
+    fn submit(card: &CardWorker<SsaSoftware>, pairs: &[(u64, u64)]) -> CompletionReceiver {
+        let requests = pairs
+            .iter()
+            .map(|&(a, b)| ProductRequest::new(UBig::from(a), UBig::from(b)))
+            .collect();
+        submit_all(card, requests).1
     }
 
     fn flush_pending(card: &mut CardWorker<SsaSoftware>) {
         let Claim::Batch(batch) = card.claim() else {
-            panic!("jobs are pending and due");
+            panic!("jobs are pending");
         };
         assert!(card.flush(batch));
     }
 
+    /// Every outcome the receiver will ever see, by tag.
+    fn outcomes(receiver: &CompletionReceiver) -> HashMap<u64, Result<UBig, ServeError>> {
+        std::iter::from_fn(|| receiver.recv()).collect()
+    }
+
     fn assert_products(receiver: &CompletionReceiver, pairs: &[(u64, u64)]) {
-        for _ in pairs {
-            let (tag, outcome) = receiver.recv().expect("one completion per job");
-            let (a, b) = pairs[tag as usize];
-            assert_eq!(outcome.unwrap(), UBig::from(a) * UBig::from(b));
+        let outcomes = outcomes(receiver);
+        assert_eq!(outcomes.len(), pairs.len(), "one completion per job");
+        for (tag, &(a, b)) in pairs.iter().enumerate() {
+            assert_eq!(outcomes[&(tag as u64)], Ok(UBig::from(a) * UBig::from(b)));
         }
     }
 
@@ -831,9 +836,36 @@ mod tests {
             assert_eq!(hashed, 2 * pairs.len() as u64, "round {round}");
             assert_products(&receiver, &pairs);
         }
-        // 7, 11, 13, 17, 19 missed once each; everything else hit.
-        assert_eq!(card.stats.cache_misses, 5);
-        assert_eq!(card.stats.cache_hits, 16 - 5);
+        // 7 and 11 repeat inside round 0 and miss once each; 13, 17 and
+        // 19 miss twice (unadmitted, then prepared); everything else hit.
+        assert_eq!(card.stats.cache_misses, 8);
+        assert_eq!(card.stats.cache_hits, 16 - 8);
+        assert_eq!(card.stats.flushes, 2);
+    }
+
+    #[test]
+    fn an_inline_operand_earns_its_slot_on_second_sight() {
+        let mut card = card(false);
+        let flush = |card: &mut CardWorker<SsaSoftware>, pairs: &[(u64, u64)]| {
+            let receiver = submit(card, pairs);
+            flush_pending(card);
+            assert_products(&receiver, pairs);
+            (
+                card.cache.len(),
+                card.stats.cache_hits,
+                card.stats.cache_misses,
+            )
+        };
+        // First sightings all round: nothing is cached, the job runs raw.
+        assert_eq!(flush(&mut card, &[(7, 11)]), (0, 0, 2));
+        // 7 comes round again and is admitted; 13 is another one-shot.
+        assert_eq!(flush(&mut card, &[(7, 13)]), (1, 0, 4));
+        assert_eq!(flush(&mut card, &[(7, 17)]), (1, 1, 5));
+        // A repeat inside one flush is a second sighting too.
+        assert_eq!(flush(&mut card, &[(19, 2), (19, 3)]), (2, 2, 8));
+        // However long the one-shot stream, only what recurs is resident.
+        let stream: Vec<(u64, u64)> = (100..164).map(|fresh| (7, fresh)).collect();
+        assert_eq!(flush(&mut card, &stream), (2, 2 + 64, 8 + 64));
     }
 
     #[test]
@@ -856,5 +888,92 @@ mod tests {
         assert_eq!(card.stats.speculative_hits, 1);
         assert_eq!(card.stats.cache_misses, 1, "only the unstaged side");
         assert!(!lock_or_recover(&card.shared.spec_store).contains_key(key));
+        // A staged spectrum is already paid for: it skips admission.
+        assert_eq!(card.cache.len(), 1);
+    }
+
+    #[test]
+    fn the_speculator_stages_the_fresh_partners_of_a_recurring_operand() {
+        let mut card = card(true);
+        // One flush makes 7 a recurring operand in the fleet's eyes.
+        let warm = [(7, 11)];
+        let receiver = submit(&card, &warm);
+        flush_pending(&mut card);
+        assert_products(&receiver, &warm);
+        // Four jobs queue in front of a card that is not claiming: the
+        // speculator has them to itself until it has staged all four.
+        let pairs = [(7, 13), (7, 17), (7, 19), (7, 23)];
+        let receiver = submit(&card, &pairs);
+        let shared = Arc::clone(&card.shared);
+        std::thread::scope(|scope| {
+            scope.spawn(|| run_speculator(engine(), Arc::clone(&shared)));
+            while shared.spec_prepares.load(Ordering::Relaxed) < 4 {
+                std::thread::yield_now();
+            }
+            flush_pending(&mut card);
+            shared.close();
+        });
+        assert_products(&receiver, &pairs);
+        assert_eq!(card.stats.speculative_hits, 4);
+    }
+
+    #[test]
+    fn a_zero_deadline_expires_in_the_queue_and_spares_its_batch_mate() {
+        let mut card = card(false);
+        let doomed = ProductRequest::new(UBig::from(3u64), UBig::from(5u64));
+        let fine = ProductRequest::new(UBig::from(7u64), UBig::from(11u64));
+        let requests = vec![doomed.with_deadline(Duration::ZERO), fine];
+        let (_, receiver) = submit_all(&card, requests);
+        flush_pending(&mut card);
+        let outcomes = outcomes(&receiver);
+        assert!(matches!(outcomes[&0], Err(ServeError::Expired { .. })));
+        assert_eq!(outcomes[&1], Ok(UBig::from(77u64)));
+        // One flush carried both; the zero deadline was already past at
+        // dequeue: an in-queue expiry, not a flush-attributed one.
+        let stats = card.stats;
+        assert_eq!((stats.flushes, stats.completed), (1, 1));
+        assert_eq!((stats.expired_in_queue, stats.expired_in_flush), (1, 0));
+    }
+
+    #[test]
+    fn a_cancelled_job_is_dropped_at_claim_and_counted() {
+        let mut card = card(false);
+        let requests = (2..6u64)
+            .map(|k| ProductRequest::new(UBig::from(k), UBig::from(k)))
+            .collect();
+        let (cancels, receiver) = submit_all(&card, requests);
+        cancels[0].cancel();
+        flush_pending(&mut card);
+        let outcomes = outcomes(&receiver);
+        assert_eq!(outcomes[&0], Err(ServeError::Closed));
+        for tag in 1..4u64 {
+            assert_eq!(outcomes[&tag], Ok(UBig::from((tag + 2) * (tag + 2))));
+        }
+        let stats = card.stats;
+        assert_eq!((stats.cancelled, stats.completed), (1, 3));
+        assert_eq!(stats.expired() + stats.failed, 0);
+    }
+
+    #[test]
+    fn an_oversized_job_fails_alone_in_its_flush() {
+        // Cache off so the oversized operands reach the multiply path
+        // (prepare would already reject them) — exercising the per-job
+        // isolation rerun.
+        let config = ServeConfig {
+            cache_bytes: 0,
+            ..ServeConfig::default()
+        };
+        let mut card = card_with(config, false);
+        let too_big = UBig::pow2(100_000);
+        let bad = ProductRequest::new(too_big.clone(), too_big);
+        let good = ProductRequest::new(UBig::from(6u64), UBig::from(7u64));
+        let (_, receiver) = submit_all(&card, vec![bad, good]);
+        flush_pending(&mut card);
+        let outcomes = outcomes(&receiver);
+        assert!(matches!(outcomes[&0], Err(ServeError::Multiply(_))));
+        assert_eq!(outcomes[&1], Ok(UBig::from(42u64)));
+        let stats = card.stats;
+        assert_eq!((stats.flushes, stats.failed, stats.completed), (1, 1, 1));
+        assert_eq!(stats.reruns, 2);
     }
 }

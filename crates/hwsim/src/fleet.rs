@@ -13,7 +13,8 @@
 //!   flush;
 //! * [`FleetModel::simulate`] — a discrete-event simulation of the
 //!   shared queue: jobs arrive with optional deadlines, idle cards claim
-//!   micro-batches under an [EDF or FIFO](FleetPolicy) discipline, and
+//!   micro-batches under an [EDF or FIFO](FleetPolicy) discipline as
+//!   soon as anything is pending (`he_accel::serve` claims likewise), and
 //!   the report attributes every missed deadline to **queueing** (the
 //!   job was already late when a card claimed it) or to **compute** (its
 //!   own flush ran past the deadline) — the same split

@@ -1,6 +1,8 @@
 //! A multi-card serving fleet: several resident engines — each modeling
 //! one accelerator card — pull deadline-aware micro-batches from one
-//! shared queue.
+//! shared queue. A free card claims pending work at once (batches form
+//! from what queued while every card was busy), and each card keeps a
+//! byte-budgeted cache that admits an operand on its second sighting.
 //!
 //! Where `server_stream.rs` runs a [`ServerPool`] of one card, this
 //! walkthrough spawns several: the same submit/await surface, but
@@ -38,8 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ServeConfig {
             queue_capacity: 64,
             max_batch: 8,
-            max_delay: Duration::from_millis(2),
-            cache_capacity: 64,
+            cache_bytes: 8 << 20,
             ..ServeConfig::default()
         },
     );

@@ -4,11 +4,12 @@
 //!
 //! Where `transform_caching.rs` hand-rolls its batches (build a
 //! `ProductJob` slice, call `EvalEngine::run`, manage handles yourself),
-//! the server does all of that behind a submit/await API: jobs are
-//! micro-batched (flush on batch-size or deadline, whichever first),
-//! recurring operands are recognized by digest and served from a cached
-//! forward spectrum automatically, late jobs expire as typed errors, and
-//! a full queue pushes back instead of buffering without bound.
+//! the server does all of that behind a submit/await API: the card
+//! claims pending jobs the moment it is free (whatever queued while it
+//! was busy rides one flush), operands seen twice are recognized by
+//! digest and served from a cached forward spectrum under a byte
+//! budget, late jobs expire as typed errors, and a full queue pushes
+//! back instead of buffering without bound.
 //!
 //! This is the *blocking* client shape — one awaited ticket per in-flight
 //! product. For the completion-driven alternative (one reactor thread,
@@ -40,16 +41,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ServeConfig {
             queue_capacity: 16,
             max_batch: 8,
-            max_delay: Duration::from_millis(2),
-            cache_capacity: 32,
+            cache_bytes: 8 << 20,
             ..ServeConfig::default()
         },
     );
 
     // Submit the whole stream, then await the tickets — the server forms
     // micro-batches behind the queue and recognizes the recurring
-    // accumulator by digest, so after the first flush every product rides
-    // a cached forward spectrum.
+    // accumulator by digest at its second sighting, so from then on every
+    // product rides a cached forward spectrum.
     let start = Instant::now();
     let tickets: Vec<ProductTicket> = stream
         .iter()

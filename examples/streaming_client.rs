@@ -39,8 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ServeConfig {
             queue_capacity: 32,
             max_batch: 8,
-            max_delay: Duration::from_millis(2),
-            cache_capacity: 32,
+            cache_bytes: 8 << 20,
             ..ServeConfig::default()
         },
     );

@@ -26,8 +26,8 @@ fn pool_of(workers: usize, bits: usize, max_batch: usize) -> ServerPool {
         engines,
         ServeConfig {
             max_batch,
-            max_delay: Duration::from_millis(1),
-            cache_capacity: 8,
+            // A handful of ~1 KiB entries, so evictions happen.
+            cache_bytes: 8 << 10,
             ..ServeConfig::default()
         },
     )
@@ -92,9 +92,8 @@ proptest! {
             vec![EvalEngine::new(small), EvalEngine::new(large)],
             ServeConfig {
                 max_batch,
-                max_delay: Duration::from_millis(1),
                 route: RoutePolicy::BySize,
-                cache_capacity: 8,
+                cache_bytes: 8 << 10,
                 ..ServeConfig::default()
             },
         );
@@ -229,7 +228,6 @@ fn heterogeneous_fleet_serves_without_sharing_handles() {
         engines,
         ServeConfig {
             max_batch: 2,
-            max_delay: Duration::from_millis(1),
             ..ServeConfig::default()
         },
     );
@@ -296,9 +294,8 @@ fn by_size_jobs_for_a_dead_card_fail_over_to_survivors() {
         ],
         ServeConfig {
             max_batch: 1,
-            max_delay: Duration::from_millis(1),
             route: RoutePolicy::BySize,
-            cache_capacity: 0,
+            cache_bytes: 0,
             ..ServeConfig::default()
         },
     );
@@ -346,7 +343,6 @@ fn speculative_fleet_stays_bit_exact() {
         EvalEngine::new(backend.clone()),
         ServeConfig {
             max_batch: 4,
-            max_delay: Duration::from_millis(2),
             ..ServeConfig::default()
         },
     );
@@ -379,7 +375,6 @@ fn fleet_splits_expiry_between_queue_and_flush() {
             )],
             ServeConfig {
                 max_batch: 8,
-                max_delay: Duration::from_millis(10),
                 policy,
                 ..ServeConfig::default()
             },
@@ -421,7 +416,6 @@ fn dghv_circuits_ride_the_fleet() {
         engines,
         ServeConfig {
             max_batch: 4,
-            max_delay: Duration::from_millis(1),
             ..ServeConfig::default()
         },
     );

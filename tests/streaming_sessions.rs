@@ -27,7 +27,6 @@ fn small_server(max_batch: usize, bits: usize) -> ServerPool {
         )],
         ServeConfig {
             max_batch,
-            max_delay: Duration::from_millis(1),
             ..ServeConfig::default()
         },
     )
@@ -134,8 +133,7 @@ fn dead_fleet_resolves_every_wait_flavor_to_closed() {
         vec![EvalEngine::new(backend)],
         ServeConfig {
             max_batch: 1,
-            max_delay: Duration::ZERO,
-            cache_capacity: 0,
+            cache_bytes: 0,
             ..ServeConfig::default()
         },
     );
@@ -200,8 +198,7 @@ fn completion_queue_resolves_to_closed_on_a_dead_fleet() {
         vec![EvalEngine::new(backend)],
         ServeConfig {
             max_batch: 1,
-            max_delay: Duration::ZERO,
-            cache_capacity: 0,
+            cache_bytes: 0,
             ..ServeConfig::default()
         },
     );
@@ -244,8 +241,7 @@ fn wait_timeout_returns_none_while_the_job_is_held() {
         vec![EvalEngine::new(backend)],
         ServeConfig {
             max_batch: 1,
-            max_delay: Duration::ZERO,
-            cache_capacity: 0,
+            cache_bytes: 0,
             ..ServeConfig::default()
         },
     );
@@ -282,8 +278,7 @@ proptest! {
             ServeConfig {
                 queue_capacity: 4,
                 max_batch,
-                max_delay: Duration::from_millis(1),
-                cache_capacity: 8,
+                cache_bytes: 8 << 10,
                 ..ServeConfig::default()
             },
         );
@@ -412,7 +407,7 @@ fn both_pinned_products_reach_the_both_cached_rung_without_hashing() {
 
 #[test]
 fn pin_store_eviction_stays_correct_under_register_churn() {
-    // More pins than the per-card bound (cache_capacity): the store
+    // More pins than the per-card budget (cache_bytes) holds: the store
     // evicts least-recently-used pins and lazily re-prepares them on
     // their next flush — products stay bit-exact throughout, and memory
     // stays bounded by construction.
@@ -422,8 +417,8 @@ fn pin_store_eviction_stays_correct_under_register_churn() {
         )],
         ServeConfig {
             max_batch: 2,
-            max_delay: Duration::from_millis(1),
-            cache_capacity: 2,
+            // Two of the four pins: a 2 KiB spectrum and one limb each.
+            cache_bytes: 2 * (2_048 + 8),
             ..ServeConfig::default()
         },
     );
@@ -459,7 +454,6 @@ fn dghv_circuits_ride_a_client_session() {
         )],
         ServeConfig {
             max_batch: 8,
-            max_delay: Duration::from_millis(1),
             ..ServeConfig::default()
         },
     );
