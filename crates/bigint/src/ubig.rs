@@ -73,6 +73,14 @@ impl UBig {
         self.limbs.extend_from_slice(&limbs[..significant]);
     }
 
+    /// Lends this value's limb vector to `fill` to be rewritten in place,
+    /// then trims trailing zero limbs: [`UBig::assign_from_limbs`] without
+    /// the staging buffer and the copy out of it.
+    pub fn assign_with(&mut self, fill: impl FnOnce(&mut Vec<u64>)) {
+        fill(&mut self.limbs);
+        self.normalize();
+    }
+
     /// Constructs from little-endian bytes.
     pub fn from_le_bytes(bytes: &[u8]) -> UBig {
         let mut limbs = Vec::with_capacity(bytes.len() / 8 + 1);
@@ -627,6 +635,13 @@ mod tests {
         let a = UBig::from_limbs(vec![1, 0, 0]);
         assert_eq!(a.as_limbs(), &[1]);
         assert_eq!(UBig::from_limbs(vec![0, 0]), UBig::zero());
+        // In-place rewrites re-normalize, keeping the allocation.
+        let mut b = UBig::from_limbs(vec![7, 8, 9]);
+        let ptr = b.as_limbs().as_ptr();
+        b.assign_with(|limbs| limbs.copy_from_slice(&[5, 0, 0]));
+        assert_eq!((b.as_limbs(), b.as_limbs().as_ptr()), (&[5][..], ptr));
+        b.assign_with(|limbs| limbs[0] = 0);
+        assert_eq!(b, UBig::zero());
     }
 
     #[test]

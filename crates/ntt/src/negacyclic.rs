@@ -231,7 +231,9 @@ mod tests {
 
     #[test]
     fn transform_roundtrips() {
-        for n in [2usize, 8, 64, 256] {
+        // The cyclic core runs on the non-canonical root ψ²: single-pass
+        // (n ≤ 64), tabled, and from 1024 up behind the tiled reversal.
+        for n in [2usize, 8, 64, 256, 2048] {
             let plan = NegacyclicPlan::new(n).unwrap();
             let a = poly(n, 0x9e37);
             assert_eq!(plan.inverse(&plan.forward(&a)), a, "n = {n}");

@@ -29,8 +29,10 @@ pub const N64K: usize = 65_536;
 /// The paper's 64K-point NTT, forward and inverse, with precomputed
 /// twiddle tables.
 ///
-/// The inverse applies the `1/65536 = 2^{176} (mod p)` scaling — itself a
-/// shift, one more convenience of the Solinas prime.
+/// The inverse's `1/65536 = 2^{176} (mod p)` scaling costs nothing: the
+/// engine's last inverse stage table holds `ω⁻ᵏ/N` — the hardware
+/// reading is a stage-3 twiddle ROM with the `1/N` burnt in, zero extra
+/// cycles — so an inverse transform costs exactly a forward one.
 ///
 /// ```
 /// use he_field::Fp;
@@ -118,8 +120,8 @@ impl Ntt64k {
             .expect("Ntt64k operates on 65536 points");
     }
 
-    /// In-place inverse transform (including the `1/n` scaling, folded
-    /// into the last pass as the shift `2^{176}`).
+    /// In-place inverse transform (including the `1/n` scaling, carried
+    /// by the last stage's twiddle table).
     ///
     /// # Panics
     ///

@@ -196,8 +196,9 @@ impl Radix2Plan {
     }
 }
 
-/// In-place bit-reversal permutation.
-fn bit_reverse_permute(data: &mut [Fp]) {
+/// In-place bit-reversal permutation: the plain swap loop, also the
+/// oracle for [`crate::radix2k::bit_reverse_permute`]'s tiled kernel.
+pub(crate) fn bit_reverse_permute(data: &mut [Fp]) {
     let n = data.len();
     let shift = (usize::BITS - n.trailing_zeros()) % usize::BITS;
     for i in 0..n {

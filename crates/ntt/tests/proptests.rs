@@ -117,6 +117,19 @@ proptest! {
     }
 
     #[test]
+    fn bit_reversal_is_an_involution(log_n in 8u32..=13, v in arb_vec(8192)) {
+        // Both sides of the 2^10 boundary between the swap loop and the
+        // tiled kernel; element 1 must land on n/2 either way.
+        let n = 1usize << log_n;
+        let v = v[..n].to_vec();
+        let mut x = v.clone();
+        bit_reverse_permute(&mut x);
+        prop_assert_eq!(x[n / 2], v[1]);
+        bit_reverse_permute(&mut x);
+        prop_assert_eq!(x, v);
+    }
+
+    #[test]
     fn radix_stage_chain_matches_radix2(v in arb_vec(256)) {
         // The public kernel entry point, chained with a deliberately
         // uneven deg split (2 + 3 + 3 layers), reproduces the radix-2

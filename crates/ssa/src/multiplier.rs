@@ -187,7 +187,7 @@ impl SsaMultiplier {
         self.engine
             .inverse_in_place(&mut acc)
             .expect("buffer sized to the plan");
-        recompose_into(&acc, self.params.coeff_bits(), &mut pool.limbs, out);
+        recompose_into(&acc, self.params.coeff_bits(), out);
         pool.ntt.put(acc);
         Ok(())
     }

@@ -49,8 +49,6 @@ fn auto_cap() -> usize {
 pub(crate) struct SsaScratch {
     /// Coefficient and transform staging buffers.
     pub(crate) ntt: NttScratch,
-    /// Carry-recovery accumulator limbs.
-    pub(crate) limbs: Vec<u64>,
 }
 
 /// A stack of idle [`SsaScratch`] units shared by one multiplier instance.
@@ -185,12 +183,15 @@ mod tests {
         let pool = ScratchPool::new();
         let ptr = {
             let mut guard = pool.checkout();
-            guard.limbs.push(7);
-            guard.limbs.as_ptr()
+            let buf = guard.ntt.take(8);
+            let ptr = buf.as_ptr();
+            guard.ntt.put(buf);
+            ptr
         };
         assert_eq!(pool.idle_units(), 1);
-        let guard = pool.checkout();
-        assert_eq!(guard.limbs.as_ptr(), ptr, "warm checkout must reuse");
+        let mut guard = pool.checkout();
+        let buf = guard.ntt.take(8);
+        assert_eq!(buf.as_ptr(), ptr, "warm checkout must reuse");
         assert_eq!(pool.idle_units(), 0);
     }
 
@@ -231,9 +232,7 @@ mod tests {
         pool.trim();
         assert_eq!(pool.idle_units(), 0);
         // The pool keeps working after a trim (fresh unit on demand).
-        let mut guard = pool.checkout();
-        guard.limbs.push(1);
-        drop(guard);
+        drop(pool.checkout());
         assert_eq!(pool.idle_units(), 1);
     }
 
@@ -295,10 +294,8 @@ mod tests {
             let mut guard = pool.checkout();
             let buf = guard.ntt.take(64);
             guard.ntt.put(buf);
-            guard.limbs.resize(32, 0);
         }
         let guard = pool.checkout();
         assert!(guard.ntt.pooled_capacity() >= 64);
-        assert!(guard.limbs.capacity() >= 32);
     }
 }

@@ -55,29 +55,28 @@ pub fn decompose_into(x: &UBig, coeff_bits: u32, out: &mut [Fp]) {
 /// adder structure rather than simple concatenation.
 pub fn recompose(coeffs: &[Fp], coeff_bits: u32) -> UBig {
     let mut out = UBig::zero();
-    recompose_into(coeffs, coeff_bits, &mut Vec::new(), &mut out);
+    recompose_into(coeffs, coeff_bits, &mut out);
     out
 }
 
-/// [`recompose`] into a caller-provided result, staging the carry
-/// accumulator in `acc` — allocation-free once both the accumulator and
-/// the result's limb buffer have grown to the working size.
+/// [`recompose`] into a caller-provided result, whose own limb vector is
+/// the carry accumulator — allocation-free once it has grown to the
+/// working size.
 // lint: no-alloc
-pub fn recompose_into(coeffs: &[Fp], coeff_bits: u32, acc: &mut Vec<u64>, out: &mut UBig) {
+pub fn recompose_into(coeffs: &[Fp], coeff_bits: u32, out: &mut UBig) {
     assert!((1..=63).contains(&coeff_bits));
     let m = coeff_bits as usize;
     let total_bits = coeffs.len() * m + 128;
-    acc.clear();
-    acc.resize(total_bits.div_ceil(64) + 1, 0);
-    for (i, &c) in coeffs.iter().enumerate() {
-        let v = c.as_u64();
-        if v == 0 {
-            continue;
+    out.assign_with(|acc| {
+        acc.clear();
+        acc.resize(total_bits.div_ceil(64) + 1, 0);
+        for (i, &c) in coeffs.iter().enumerate() {
+            let v = c.as_u64();
+            if v != 0 {
+                add_shifted(acc, v, i * m);
+            }
         }
-        let bit_pos = i * m;
-        add_shifted(acc, v, bit_pos);
-    }
-    out.assign_from_limbs(acc);
+    });
 }
 
 /// Adds `value << bit_pos` into the little-endian accumulator with carry
