@@ -1,8 +1,8 @@
 //! Shared helpers for the reproduction harness (`he-bench`).
 //!
-//! The binaries in `src/bin/` regenerate the paper's tables and figures
-//! (see `DESIGN.md` §3 for the experiment index); the criterion benches in
-//! `benches/` measure the software implementations.
+//! `src/bin/repro_all.rs` regenerates the paper's tables and figures (the
+//! "Paper crosswalk" table in `ARCHITECTURE.md` is the index); the software
+//! product path is measured by `benchmark/`, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

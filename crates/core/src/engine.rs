@@ -217,7 +217,7 @@ pub enum ProductJob<'a> {
 ///
 /// [`EvalEngine::run`] executes a slice of [`ProductJob`]s through the
 /// backend's session API. By default it hands the whole batch to the
-/// backend's native [`Multiplier::multiply_batch`], so one knob
+/// backend's native [`Multiplier::multiply_batch_into`], so one knob
 /// ([`he_ntt::par::set_threads`] / `HE_NTT_THREADS`) pins the whole
 /// stack — the SSA backend's batch sharding *and* the per-transform
 /// fan-out inside each shard (shards divide the machine between them via
@@ -355,7 +355,8 @@ impl<M: Multiplier + Sync> EvalEngine<M> {
     /// Runs a batch of product jobs and returns the products in job order.
     ///
     /// Without an explicit [`EvalEngine::with_threads`] width the batch
-    /// goes straight to the backend's native [`Multiplier::multiply_batch`]
+    /// goes straight to the backend's native
+    /// [`Multiplier::multiply_batch_into`]
     /// — each backend parallelizes (or deliberately doesn't) the way it
     /// knows best: the SSA multiplier shards across cores with per-shard
     /// scratch, while the hardware simulation runs jobs in order with
@@ -368,7 +369,7 @@ impl<M: Multiplier + Sync> EvalEngine<M> {
     ///
     /// Returns the error of the lowest-index failing job (deterministic
     /// regardless of scheduling; native batch paths pre-validate handle
-    /// provenance, see [`Multiplier::multiply_batch`]).
+    /// provenance, see [`Multiplier::multiply_batch_into`]).
     pub fn run(&self, jobs: &[ProductJob<'_>]) -> Result<Vec<UBig>, MultiplyError> {
         // Write-once slots: `UBig::zero()` holds no limbs, so this is one
         // allocation for the spine — never `len` limb buffers — and each
@@ -494,23 +495,27 @@ mod tests {
         }
     }
 
+    /// One job through the backend's one job body.
+    fn run_job<M: Multiplier>(backend: &M, job: ProductJob<'_>) -> Result<UBig, MultiplyError> {
+        let mut out = UBig::zero();
+        backend.multiply_job_into(&job, &mut out).map(|()| out)
+    }
+
     #[test]
     fn handles_do_not_cross_backends() {
         let x = UBig::from(7u64);
         let ssa = SsaSoftware::for_operand_bits(64).unwrap();
         let handle = ssa.prepare(&x).unwrap();
-        let err = Karatsuba.multiply_prepared(&handle, &handle).unwrap_err();
+        let err = run_job(&Karatsuba, ProductJob::Prepared(&handle, &handle)).unwrap_err();
         assert!(matches!(err, MultiplyError::HandleMismatch { .. }));
-        let err = HardwareSim::paper()
-            .multiply_one_prepared(&handle, &x)
-            .unwrap_err();
+        let err = run_job(&HardwareSim::paper(), ProductJob::OnePrepared(&handle, &x)).unwrap_err();
         assert!(matches!(err, MultiplyError::HandleMismatch { .. }));
         // Raw handles are also backend-bound.
         let raw = Schoolbook.prepare(&x).unwrap();
         assert!(!raw.is_cached());
-        assert!(Karatsuba.multiply_prepared(&raw, &raw).is_err());
+        assert!(run_job(&Karatsuba, ProductJob::Prepared(&raw, &raw)).is_err());
         assert_eq!(
-            Schoolbook.multiply_prepared(&raw, &raw).unwrap(),
+            run_job(&Schoolbook, ProductJob::Prepared(&raw, &raw)).unwrap(),
             UBig::from(49u64)
         );
     }
@@ -527,10 +532,10 @@ mod tests {
         assert_ne!(small.provenance(), large.provenance());
         let handle = small.prepare(&x).unwrap();
         for err in [
-            large.multiply_one_prepared(&handle, &x).unwrap_err(),
-            large.multiply_prepared(&handle, &handle).unwrap_err(),
-            large
-                .multiply_batch(&[ProductJob::OnePrepared(&handle, &x)])
+            run_job(&large, ProductJob::OnePrepared(&handle, &x)).unwrap_err(),
+            run_job(&large, ProductJob::Prepared(&handle, &handle)).unwrap_err(),
+            EvalEngine::new(large.clone())
+                .run(&[ProductJob::OnePrepared(&handle, &x)])
                 .unwrap_err(),
             EvalEngine::new(large.clone())
                 .with_threads(2)
@@ -554,7 +559,7 @@ mod tests {
         // (the plans are deterministic), so this stays accepted.
         let twin = SsaSoftware::for_operand_bits(2_000).unwrap();
         assert_eq!(
-            twin.multiply_one_prepared(&handle, &x).unwrap(),
+            run_job(&twin, ProductJob::OnePrepared(&handle, &x)).unwrap(),
             x.mul_schoolbook(&x)
         );
     }

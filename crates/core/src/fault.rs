@@ -278,17 +278,16 @@ impl<M: Multiplier> Multiplier for FaultyMultiplier<M> {
         self.inner.prepare(a)
     }
 
-    fn multiply_prepared(
-        &self,
-        a: &OperandHandle,
-        b: &OperandHandle,
-    ) -> Result<UBig, MultiplyError> {
-        self.inner.multiply_prepared(a, b)
-    }
-
-    fn multiply_one_prepared(&self, a: &OperandHandle, b: &UBig) -> Result<UBig, MultiplyError> {
-        assert!(!self.poisoned(b), "poison operand reached the device");
-        self.inner.multiply_one_prepared(a, b)
+    fn multiply_job_into(&self, job: &ProductJob<'_>, out: &mut UBig) -> Result<(), MultiplyError> {
+        // The raw sides of a job reach the device as they are; a handle
+        // was checked when it was prepared.
+        let poisoned = match *job {
+            ProductJob::Prepared(..) => false,
+            ProductJob::OnePrepared(_, b) => self.poisoned(b),
+            ProductJob::Raw(a, b) => self.poisoned(a) || self.poisoned(b),
+        };
+        assert!(!poisoned, "poison operand reached the device");
+        self.inner.multiply_job_into(job, out)
     }
 
     fn multiply_batch_into(
@@ -298,9 +297,9 @@ impl<M: Multiplier> Multiplier for FaultyMultiplier<M> {
     ) -> Result<(), MultiplyError> {
         let k = self.flushes.fetch_add(1, Ordering::Relaxed);
         self.inject(k)?;
-        // Job by job through this wrapper's own entry points: a serving
-        // card runs operands it has not cached raw, inside the batch, and
-        // the poison must be as deadly there as in `prepare`.
+        // Job by job through this wrapper's own job body: a serving card
+        // runs operands it has not cached raw, inside the batch, and the
+        // poison must be as deadly there as in `prepare`.
         jobs.iter()
             .zip(out)
             .try_for_each(|(job, slot)| self.multiply_job_into(job, slot))
@@ -375,12 +374,31 @@ mod tests {
             let _ = faulty.prepare(&poison);
         }));
         assert!(death.is_err());
-        // …and raw inside a batch.
-        let death = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let jobs = [ProductJob::Raw(&poison, &poison)];
-            let _ = faulty.multiply_batch_into(&jobs, &mut [UBig::zero()]);
-        }));
-        assert!(death.is_err());
+        // …and wherever a job carries it raw inside a batch, beside a
+        // benign operand or a benign handle alike.
+        let benign = UBig::from(5u64);
+        let benign_handle = faulty.prepare(&benign).unwrap();
+        for job in [
+            ProductJob::Raw(&poison, &poison),
+            ProductJob::Raw(&benign, &poison),
+            ProductJob::OnePrepared(&benign_handle, &poison),
+        ] {
+            let death = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _ = faulty.multiply_batch_into(&[job], &mut [UBig::zero()]);
+            }));
+            assert!(death.is_err(), "{job:?}");
+        }
+        // Two benign handles have no raw side to check and still multiply
+        // on the inner backend's cached path.
+        assert!(benign_handle.is_cached());
+        let mut out = [UBig::zero()];
+        faulty
+            .multiply_batch_into(
+                &[ProductJob::Prepared(&benign_handle, &benign_handle)],
+                &mut out,
+            )
+            .unwrap();
+        assert_eq!(out[0], UBig::from(25u64));
     }
 
     #[test]
@@ -390,11 +408,13 @@ mod tests {
         assert_eq!(faulty.provenance(), inner.provenance());
         // Handles prepared through the wrapper run on the inner geometry.
         let handle = faulty.prepare(&UBig::from(9u64)).unwrap();
-        assert_eq!(
-            faulty
-                .multiply_one_prepared(&handle, &UBig::from(4u64))
-                .unwrap(),
-            UBig::from(36u64)
-        );
+        let mut product = UBig::zero();
+        faulty
+            .multiply_job_into(
+                &ProductJob::OnePrepared(&handle, &UBig::from(4u64)),
+                &mut product,
+            )
+            .unwrap();
+        assert_eq!(product, UBig::from(36u64));
     }
 }

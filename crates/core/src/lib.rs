@@ -80,13 +80,11 @@ pub use he_dghv as dghv;
 pub use he_field as field;
 pub use he_hwsim as hwsim;
 pub use he_ntt as ntt;
-pub use he_poly as poly;
 pub use he_ssa as ssa;
 
 pub mod engine;
 pub mod fault;
 mod multiplier;
-mod selfcheck;
 pub mod serve;
 
 pub use engine::{EvalEngine, HandleProvenance, OperandHandle, ProductJob};
@@ -94,7 +92,6 @@ pub use fault::{FaultPlan, FaultyMultiplier};
 pub use multiplier::{
     HardwareSim, Karatsuba, Multiplier, MultiplyError, Schoolbook, SsaSoftware, Toom3,
 };
-pub use selfcheck::{self_check, SelfCheckReport};
 pub use serve::{
     completion_channel, CancelHandle, CardHealth, ClientSession, Completion, CompletionMint,
     CompletionQueue, CompletionReceiver, CompletionSink, DrainOutcome, FlushPolicy, PoolStats,
@@ -102,25 +99,22 @@ pub use serve::{
     ServedMultiplier, ServerPool, SubmitError, Submitter,
 };
 
-/// Convenience re-exports for downstream users.
+/// What `benchmark/`, `examples/`, `tests/` and the doctests import through
+/// the glob; everything else stays reachable at its crate path.
 pub mod prelude {
-    pub use crate::engine::{EvalEngine, HandleProvenance, OperandHandle, ProductJob};
+    pub use crate::engine::{EvalEngine, OperandHandle, ProductJob};
     pub use crate::fault::{FaultPlan, FaultyMultiplier};
     pub use crate::multiplier::{
         HardwareSim, Karatsuba, Multiplier, MultiplyError, Schoolbook, SsaSoftware, Toom3,
     };
     pub use crate::serve::{
-        completion_channel, CancelHandle, CardHealth, ClientSession, Completion, CompletionMint,
-        CompletionQueue, CompletionReceiver, CompletionSink, DrainOutcome, FlushPolicy, PoolStats,
-        ProductRequest, ProductTicket, RoutePolicy, ServeConfig, ServeError, ServeStats,
-        ServedMultiplier, ServerPool, SubmitError, Submitter,
+        completion_channel, CardHealth, ClientSession, Completion, CompletionQueue, CompletionSink,
+        FlushPolicy, PoolStats, ProductRequest, ProductTicket, RoutePolicy, ServeConfig,
+        ServeError, ServeStats, ServedMultiplier, ServerPool, SubmitError, Submitter,
     };
     pub use he_bigint::UBig;
     pub use he_dghv::{CompressedKeyPair, DghvParams, KeyPair};
     pub use he_field::Fp;
-    pub use he_hwsim::accel::AcceleratorSim;
-    pub use he_hwsim::batch::{BatchReport, HwJob, PreparedOperand};
-    pub use he_hwsim::flexplan::{FlexPerfModel, FlexPlan};
     pub use he_hwsim::AcceleratorConfig;
-    pub use he_ssa::{SsaJob, SsaMultiplier, SsaParams, TransformedOperand};
+    pub use he_ssa::SsaMultiplier;
 }

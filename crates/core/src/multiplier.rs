@@ -99,8 +99,10 @@ impl From<HwSimError> for MultiplyError {
 /// *session model* of the batch engine ([`crate::engine`]): capture a
 /// recurring operand once with [`Multiplier::prepare`], then multiply
 /// through the handle — caching backends (SSA, the hardware simulation)
-/// skip the cached operand's forward transform on every product, and
-/// [`Multiplier::multiply_batch`] runs whole job slices at once.
+/// skip the cached operand's forward transform on every product. There is
+/// **one job body**, [`Multiplier::multiply_job_into`], and one batch body
+/// over it, [`Multiplier::multiply_batch_into`]; a backend that caches
+/// overrides those two and nothing else.
 pub trait Multiplier {
     /// Multiplies two nonnegative integers.
     ///
@@ -138,72 +140,30 @@ pub trait Multiplier {
         ))
     }
 
-    /// Multiplies two prepared operands.
+    /// Runs one job — handle×handle, handle×raw or raw×raw — into a
+    /// caller-owned slot (write-once; backends with pooled buffers
+    /// recompose directly into a warm slot).
+    ///
+    /// The default serves backends whose handles hold the raw integer: it
+    /// checks each handle's provenance and dispatches to
+    /// [`Multiplier::multiply`].
     ///
     /// # Errors
     ///
-    /// Returns [`MultiplyError::HandleMismatch`] if either handle was
-    /// prepared by a different backend instance (name or transform
-    /// geometry differs), plus the backend's usual capacity conditions.
-    fn multiply_prepared(
-        &self,
-        a: &OperandHandle,
-        b: &OperandHandle,
-    ) -> Result<UBig, MultiplyError> {
-        self.multiply(
-            a.raw_checked(self.provenance())?,
-            b.raw_checked(self.provenance())?,
-        )
-    }
-
-    /// Multiplies a prepared operand by a raw integer.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Multiplier::multiply_prepared`].
-    fn multiply_one_prepared(&self, a: &OperandHandle, b: &UBig) -> Result<UBig, MultiplyError> {
-        self.multiply(a.raw_checked(self.provenance())?, b)
-    }
-
-    /// Runs one batch job (dispatch over the three job kinds).
-    ///
-    /// # Errors
-    ///
-    /// The job kind's conditions (see [`Multiplier::multiply_prepared`]).
-    fn multiply_job(&self, job: &ProductJob<'_>) -> Result<UBig, MultiplyError> {
-        match job {
-            ProductJob::Prepared(a, b) => self.multiply_prepared(a, b),
-            ProductJob::OnePrepared(a, b) => self.multiply_one_prepared(a, b),
-            ProductJob::Raw(a, b) => self.multiply(a, b),
-        }
-    }
-
-    /// Runs one batch job into a caller-owned slot (write-once; backends
-    /// with pooled buffers recompose directly into a warm slot).
-    ///
-    /// # Errors
-    ///
-    /// The job kind's conditions (see [`Multiplier::multiply_prepared`]);
-    /// the default leaves `out` unchanged on error.
+    /// Returns [`MultiplyError::HandleMismatch`] if a handle was prepared
+    /// by a different backend instance (name or transform geometry
+    /// differs), plus the backend's usual capacity conditions; `out` is
+    /// unchanged on error.
     fn multiply_job_into(&self, job: &ProductJob<'_>, out: &mut UBig) -> Result<(), MultiplyError> {
-        *out = self.multiply_job(job)?;
+        let provenance = self.provenance();
+        *out = match *job {
+            ProductJob::Prepared(a, b) => {
+                self.multiply(a.raw_checked(provenance)?, b.raw_checked(provenance)?)
+            }
+            ProductJob::OnePrepared(a, b) => self.multiply(a.raw_checked(provenance)?, b),
+            ProductJob::Raw(a, b) => self.multiply(a, b),
+        }?;
         Ok(())
-    }
-
-    /// Multiplies a batch of jobs, returning products in job order.
-    ///
-    /// Thin wrapper over [`Multiplier::multiply_batch_into`] (the slots
-    /// are write-once, so the only cost beyond the batch itself is the
-    /// returned vector's spine).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Multiplier::multiply_batch_into`].
-    fn multiply_batch(&self, jobs: &[ProductJob<'_>]) -> Result<Vec<UBig>, MultiplyError> {
-        let mut out: Vec<UBig> = Vec::new();
-        out.resize_with(jobs.len(), UBig::zero);
-        self.multiply_batch_into(jobs, &mut out)?;
-        Ok(out)
     }
 
     /// Multiplies a batch of jobs into a caller-owned result slice, in job
@@ -283,28 +243,8 @@ impl<M: Multiplier + ?Sized> Multiplier for &M {
         (**self).prepare(a)
     }
 
-    fn multiply_prepared(
-        &self,
-        a: &OperandHandle,
-        b: &OperandHandle,
-    ) -> Result<UBig, MultiplyError> {
-        (**self).multiply_prepared(a, b)
-    }
-
-    fn multiply_one_prepared(&self, a: &OperandHandle, b: &UBig) -> Result<UBig, MultiplyError> {
-        (**self).multiply_one_prepared(a, b)
-    }
-
-    fn multiply_job(&self, job: &ProductJob<'_>) -> Result<UBig, MultiplyError> {
-        (**self).multiply_job(job)
-    }
-
     fn multiply_job_into(&self, job: &ProductJob<'_>, out: &mut UBig) -> Result<(), MultiplyError> {
         (**self).multiply_job_into(job, out)
-    }
-
-    fn multiply_batch(&self, jobs: &[ProductJob<'_>]) -> Result<Vec<UBig>, MultiplyError> {
-        (**self).multiply_batch(jobs)
     }
 
     fn multiply_batch_into(
@@ -437,23 +377,6 @@ impl Multiplier for SsaSoftware {
         ))
     }
 
-    fn multiply_prepared(
-        &self,
-        a: &OperandHandle,
-        b: &OperandHandle,
-    ) -> Result<UBig, MultiplyError> {
-        let provenance = self.provenance();
-        Ok(self
-            .inner
-            .multiply_transformed(a.ssa_checked(provenance)?, b.ssa_checked(provenance)?)?)
-    }
-
-    fn multiply_one_prepared(&self, a: &OperandHandle, b: &UBig) -> Result<UBig, MultiplyError> {
-        Ok(self
-            .inner
-            .multiply_one_cached(a.ssa_checked(self.provenance())?, b)?)
-    }
-
     fn multiply_job_into(&self, job: &ProductJob<'_>, out: &mut UBig) -> Result<(), MultiplyError> {
         Ok(self.inner.multiply_job_into(self.lower_job(*job)?, out)?)
     }
@@ -520,8 +443,8 @@ impl HardwareSim {
 
     /// Runs a batch as a pipelined instruction stream on the simulated
     /// accelerator and returns the cycle-level schedule alongside the
-    /// products — the hardware-model counterpart of
-    /// [`Multiplier::multiply_batch`].
+    /// products — [`Multiplier::multiply_batch_into`] with the schedule
+    /// kept.
     ///
     /// # Errors
     ///
@@ -575,23 +498,9 @@ impl Multiplier for HardwareSim {
         ))
     }
 
-    fn multiply_prepared(
-        &self,
-        a: &OperandHandle,
-        b: &OperandHandle,
-    ) -> Result<UBig, MultiplyError> {
-        let provenance = Multiplier::provenance(self);
-        Ok(self
-            .inner
-            .multiply_prepared(a.hw_checked(provenance)?, b.hw_checked(provenance)?)?
-            .0)
-    }
-
-    fn multiply_one_prepared(&self, a: &OperandHandle, b: &UBig) -> Result<UBig, MultiplyError> {
-        Ok(self
-            .inner
-            .multiply_one_prepared(a.hw_checked(Multiplier::provenance(self))?, b)?
-            .0)
+    fn multiply_job_into(&self, job: &ProductJob<'_>, out: &mut UBig) -> Result<(), MultiplyError> {
+        // One job is a one-instruction stream.
+        self.multiply_batch_into(core::slice::from_ref(job), core::slice::from_mut(out))
     }
 
     fn multiply_batch_into(

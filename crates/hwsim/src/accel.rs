@@ -7,6 +7,10 @@
 //! addition. Every transform runs on the distributed PE-array model
 //! ([`crate::distributed`]), so the product is computed bit-exactly by the
 //! simulated datapath while cycles are accounted per the architecture.
+//!
+//! Reproduces the "proposed" column of Table II (cross-checked against
+//! [`crate::perf`] in `tests/paper_numbers.rs`); called by
+//! `he_accel::HardwareSim`, the accelerator behind the `Multiplier` trait.
 
 use he_bigint::UBig;
 use he_field::Fp;

@@ -16,6 +16,10 @@
 //!
 //! Functional results stay bit-exact: every spectrum in a report really
 //! went through the distributed PE-array datapath.
+//!
+//! Called by `he_accel::HardwareSim`'s batch body, which is what an
+//! `EvalEngine` over the simulated card runs; with nothing cached the
+//! schedule reduces exactly to [`crate::stream`] (asserted in tests).
 
 use crate::config::AcceleratorConfig;
 use crate::perf::PerfModel;

@@ -1,4 +1,4 @@
-//! The carry-recovery unit — the paper's "ad-hoc adder structure, not
+//! The carry-recovery unit — Section V's "ad-hoc adder structure, not
 //! described here due to the lack of space. Its maximum delay is
 //! approximately 20 µs."
 //!

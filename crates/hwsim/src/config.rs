@@ -1,5 +1,8 @@
 //! Accelerator configuration (the paper's Section IV/V design point plus
 //! the knobs its formulas parameterize over).
+//!
+//! Every model in this crate is built from an [`AcceleratorConfig`];
+//! [`AcceleratorConfig::paper`] is the design point Tables I–II report.
 
 use crate::error::HwSimError;
 

@@ -1,9 +1,9 @@
 //! The distributed 64K-point transform over the PE array (Fig. 2), both as
 //! a deterministic cycle-accounted simulation and as a real multi-threaded
-//! execution (one thread per PE, crossbeam channels as the hypercube
-//! links).
+//! execution (one thread per PE, `std::sync::mpsc` channels as the
+//! hypercube links).
 //!
-//! Index conventions (DESIGN.md §7): input `n = 1024·n3 + 16·n2 + n1`,
+//! Index conventions: input `n = 1024·n3 + 16·n2 + n1`,
 //! output `k = kA + 64·kB + 4096·kC`. PE id for `P = 4` is
 //! `(pa << 1) | pb` with `pa = n1[3]`, `pb = n2[5]`; exchange X1 rewrites
 //! the `pb` coordinate to `kA[5]` (hypercube dimension 0) and X2 rewrites
@@ -373,7 +373,8 @@ impl DistributedNtt {
     }
 
     /// Forward transform executed by real concurrent PEs: one thread per
-    /// processing element, crossbeam channels as the hypercube links.
+    /// processing element, `std::sync::mpsc` channels as the hypercube
+    /// links.
     ///
     /// Functionally identical to [`DistributedNtt::forward`]; exists to
     /// demonstrate that the Fig. 2 schedule needs no global coordination —
@@ -408,21 +409,17 @@ impl DistributedNtt {
         // its X1 message, so receivers must match on (phase, from) and
         // stash anything that arrives early.
         type Msg = (u8, usize, Vec<(usize, Fp)>);
-        let channels: Vec<(
-            crossbeam::channel::Sender<Msg>,
-            crossbeam::channel::Receiver<Msg>,
-        )> = (0..pes).map(|_| crossbeam::channel::unbounded()).collect();
-        let senders: Vec<_> = channels.iter().map(|(s, _)| s.clone()).collect();
+        let (senders, receivers): (Vec<_>, Vec<_>) =
+            (0..pes).map(|_| std::sync::mpsc::channel::<Msg>()).unzip();
 
-        let mut results: Vec<Vec<(usize, Fp)>> = Vec::new();
-        crossbeam::thread::scope(|scope| {
+        let results: Vec<Vec<(usize, Fp)>> = std::thread::scope(|scope| {
             let mut handles = Vec::new();
-            for (pe, (_, rx)) in channels.iter().enumerate() {
+            for (pe, rx) in receivers.into_iter().enumerate() {
                 let senders = senders.clone();
                 let unit = self.unit;
                 let modmul = self.modmul;
                 let this = &*self;
-                handles.push(scope.spawn(move |_| {
+                handles.push(scope.spawn(move || {
                     // Receives the message of `phase` from `from`, stashing
                     // out-of-order deliveries.
                     let mut stash: Vec<Msg> = Vec::new();
@@ -531,12 +528,11 @@ impl DistributedNtt {
                     outputs
                 }));
             }
-            results = handles
+            handles
                 .into_iter()
                 .map(|h| h.join().expect("PE thread"))
-                .collect();
-        })
-        .expect("PE scope");
+                .collect()
+        });
 
         let mut out = vec![Fp::ZERO; N64K];
         for pe_points in results {

@@ -36,6 +36,10 @@
 //!   `he_accel::serve::CompletionQueue` exists to close, measured in
 //!   software by the benchmark's `serve.window32_vs_window1_ratio`.
 //!
+//! Called by `benchmark/src/ladder.rs`, which prints this model's
+//! `hwsim.fleet_products_per_s_predicted` and
+//! `hwsim.host_overlap_speedup_predicted` beside the measured fleet.
+//!
 //! ```
 //! use he_hwsim::fleet::FleetModel;
 //!

@@ -3,26 +3,27 @@
 //!
 //! The paper's hardware (Section IV) is reproduced here as a set of
 //! composable models, each checkable against the software reference in
-//! `he-ntt`/`he-ssa`:
+//! `he-ntt`/`he-ssa`. Every module names the paper table, figure or formula
+//! it reproduces, or the production caller it serves — a module with
+//! neither does not belong here:
 //!
-//! | Paper artifact | Module |
-//! |---|---|
-//! | Fig. 1 — Processing Element (buffers, FFT unit, twiddle multipliers, data route) | [`pe`] |
-//! | Fig. 2 — data distribution & exchange pattern over the hypercube | [`network`], [`distributed`] |
-//! | Fig. 3 — baseline radix-64 unit of \[28\] | [`fft_unit::BaselineFft64`] |
-//! | Fig. 4 — optimized FFT-64 unit (Eq. 5 sharing, 4-shift twiddle mux, 8 reductors) | [`fft_unit::OptimizedFft64`] |
-//! | Fig. 5 — 2-D banked memory buffer | [`memory`] |
-//! | Section V timing formulas | [`perf`] |
-//! | Section V carry-recovery adder ("≈ 20 µs") | [`carry`] |
-//! | Table I resource comparison | [`resources`], [`device`] |
-//! | Table II execution-time comparison | [`comparators`], [`accel`] |
-//! | PE control FSM as burst-level micro-ops | [`program`] |
-//! | Back-to-back multiplication throughput | [`stream`] |
-//! | Batched products over cached operand spectra | [`batch`] |
-//! | Multi-card fleet behind one host queue (EDF/FIFO) | [`fleet`] |
-//! | Cycle-stamped timelines (overlap made visible) | [`trace`] |
-//! | Scheme-primitive costs on the accelerator | [`primitive`] |
-//! | Energy extension (the FPGA-vs-GPU power argument) | [`power`] |
+//! | Module | Models | Reproduces / called by |
+//! |---|---|---|
+//! | [`pe`] | Processing Element (buffers, FFT unit, twiddle multipliers, data route) | Fig. 1 |
+//! | [`network`], [`distributed`] | data distribution & exchange pattern over the hypercube | Fig. 2; every transform of [`accel`] runs on [`distributed`] |
+//! | [`fft_unit`] | baseline radix-64 unit of \[28\] and the optimized FFT-64 unit (Eq. 5 sharing, 4-shift twiddle mux, 8 reductors) | Fig. 3, Fig. 4 |
+//! | [`memory`] | 2-D banked memory buffer | Fig. 5 |
+//! | [`modmul`] | DSP-based 64×64 modular multipliers | Section IV-d; the dot unit of [`distributed`] and [`accel`] |
+//! | [`perf`] | timing formulas `T_FFT`, `T_DOTPROD`, `T_MULT` | Section V; priced into [`accel`], [`batch`], [`fleet`] |
+//! | [`carry`] | carry-recovery adder ("≈ 20 µs") | Section V |
+//! | [`resources`], [`device`] | resource comparison | Table I |
+//! | [`comparators`], [`accel`] | execution-time comparison; one whole multiplication on the card | Table II; `he_accel::HardwareSim` |
+//! | [`batch`] | batched products over cached operand spectra | `he_accel::HardwareSim` under `EvalEngine` |
+//! | [`fleet`] | multi-card fleet behind one host queue (EDF/FIFO) | `benchmark/src/ladder.rs` (`hwsim.*_predicted`) |
+//! | [`program`] | PE control FSM as burst-level micro-ops | Section V cross-check in `tests/paper_numbers.rs` |
+//! | [`stream`] | back-to-back multiplication throughput | Section V cross-check in `tests/paper_numbers.rs`; the oracle [`batch`] reduces to |
+//! | [`primitive`] | scheme-primitive costs (AND = product + two Barrett products) | the model-side prediction for ROADMAP item 3's `dghv.reduce_share` |
+//! | [`config`] | the Section IV/V design point | every model above |
 //!
 //! Functional models are **bit-exact**: the FFT-64 units compute on the same
 //! 192-bit end-around-carry datapath as the hardware
@@ -58,18 +59,15 @@ pub mod device;
 pub mod distributed;
 pub mod fft_unit;
 pub mod fleet;
-pub mod flexplan;
 pub mod memory;
 pub mod modmul;
 pub mod network;
 pub mod pe;
 pub mod perf;
-pub mod power;
 pub mod primitive;
 pub mod program;
 pub mod resources;
 pub mod stream;
-pub mod trace;
 
 mod error;
 

@@ -21,6 +21,10 @@
 //! `he-dghv` with the accelerator as multiplication backend
 //! (`tests/accelerator_vs_software.rs`); this model adds the cycle
 //! accounting.
+//!
+//! Serves ROADMAP item 3: AND = product + two Barrett products is the
+//! model-side prediction for the share of a homomorphic multiply spent
+//! reducing (`dghv.reduce_share`) once the reduction runs on the card.
 
 use crate::config::AcceleratorConfig;
 use crate::perf::PerfModel;

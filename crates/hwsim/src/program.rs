@@ -9,6 +9,9 @@
 //! five-phase 64K schedule lands exactly on the analytic model's 6,144
 //! cycles (asserted in tests), so the paper's formula is *derived* from an
 //! instruction stream rather than assumed.
+//!
+//! Reproduces Section V's `T_FFT`; `tests/paper_numbers.rs`
+//! (`instruction_stream_reproduces_fft_cycles`) holds the cross-check.
 
 use crate::config::AcceleratorConfig;
 use crate::error::HwSimError;

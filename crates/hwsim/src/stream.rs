@@ -12,6 +12,11 @@
 //! [`PerfModel::pipelined_multiplication_cycles`]
 //! (the headroom the paper leaves as future work: "the unused resources
 //! might be used to achieve further performance improvements").
+//!
+//! Reproduces Section V's resource accounting as a throughput figure:
+//! `tests/paper_numbers.rs` (`streaming_throughput_is_fft_bound`) asserts
+//! it, and [`crate::batch`]'s schedule is tested to reduce to this one
+//! when nothing is cached.
 
 use crate::config::AcceleratorConfig;
 use crate::perf::PerfModel;

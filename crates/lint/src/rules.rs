@@ -591,7 +591,7 @@ fn no_alloc(file: &ScanFile) -> Vec<Finding> {
 /// Dependency names the workspace vendors or owns; anything else in a
 /// manifest is a new external dependency and breaks the offline build.
 fn vendored_dep(name: &str) -> bool {
-    name.starts_with("he-") || matches!(name, "rand" | "proptest" | "criterion" | "crossbeam")
+    name.starts_with("he-") || matches!(name, "rand" | "proptest")
 }
 
 /// Checks one crate root source (`lib.rs`/`main.rs`) for the mandatory

@@ -12,8 +12,7 @@
 //!   with per-plan twiddle tables built once at construction (a 64K
 //!   transform is 4 memory passes instead of 17). Every product in the
 //!   workspace runs on it: `he-ssa` plans it for every transform length,
-//!   [`NegacyclicPlan`] runs its cyclic core on it, and [`Ntt64k`] is it,
-//!   pinned to the paper's length and root;
+//!   and [`Ntt64k`] is it, pinned to the paper's length and root;
 //! * [`Ntt64k`] — the paper's 64K-point transform (Eq. 2): a
 //!   [`Radix2kPlan`] of [`N64K`] points on [`he_field::roots::omega_64k`]
 //!   (schedule `[6, 5, 5]`, the software analogue of the 64/64/16 split).
@@ -32,10 +31,7 @@
 //!   field the `n`-th root of unity for `n | 192` is a power of two, so
 //!   every twiddle inside these blocks is a shift (paper Eq. 3);
 //! * [`convolution`] — the pointwise (dot-product) phase between the
-//!   forward and inverse transforms of a Schönhage–Strassen product;
-//! * [`negacyclic`] — ψ-twisted transforms for products in
-//!   `Z_p[X]/(X^n + 1)`, the RLWE workloads Section III says "may thus be
-//!   implemented on top of the accelerator".
+//!   forward and inverse transforms of a Schönhage–Strassen product.
 //!
 //! All transforms take and produce **natural-order** coefficient vectors
 //! on the same canonical roots, so they are mutually checkable —
@@ -89,7 +85,6 @@ mod error;
 pub mod kernels;
 mod mixed;
 pub mod naive;
-pub mod negacyclic;
 pub mod par;
 mod plan64k;
 mod radix2;
@@ -98,7 +93,6 @@ mod scratch;
 
 pub use error::NttError;
 pub use mixed::MixedRadixPlan;
-pub use negacyclic::NegacyclicPlan;
 pub use plan64k::{Ntt64k, N64K};
 pub use radix2::Radix2Plan;
 pub use radix2k::Radix2kPlan;

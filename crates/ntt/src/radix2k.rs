@@ -465,7 +465,7 @@ fn build_stage_table(omega: Fp, n: usize, log_m: u32, deg: u32) -> Option<Vec<Fp
 
 /// A planned radix-2^k NTT of power-of-two length — the one production
 /// transform: `he-ssa` plans it for every length, and [`crate::Ntt64k`]
-/// and [`crate::NegacyclicPlan`] run on it.
+/// is it at the paper's length.
 ///
 /// Input and output are in natural order. The transform is fully
 /// in-place (one internal bit-reversal pass plus one data pass per

@@ -6,11 +6,10 @@
 //! fresh ones per product — mirroring the accelerator's fixed on-chip
 //! buffers: the FPGA performs the entire three-stage 64K transform inside
 //! the PE-local memories and never touches fresh storage per product.
-//! `he-ssa` keeps one per scratch unit, [`crate::NegacyclicPlan`] stages a
-//! spectrum in one, and the [`crate::MixedRadixPlan`] recursion stages its
-//! intermediates there. After a warm-up call a reused scratch serves every
-//! subsequent product with **zero heap allocations** — verified by the
-//! counting-allocator test in `he-ssa`.
+//! `he-ssa` keeps one per scratch unit, and the [`crate::MixedRadixPlan`]
+//! recursion stages its intermediates there. After a warm-up call a reused
+//! scratch serves every subsequent product with **zero heap allocations**
+//! — verified by the counting-allocator test in `he-ssa`.
 
 use he_field::Fp;
 

@@ -77,6 +77,6 @@ fn main() -> Result<(), he_accel::hwsim::HwSimError> {
     // And the threaded execution (real PEs exchanging over channels).
     let parallel = dist.forward_parallel(&input);
     assert_eq!(parallel, reference);
-    println!("multi-threaded PE execution (crossbeam channels) verified too.");
+    println!("multi-threaded PE execution (one thread per PE, mpsc links) verified too.");
     Ok(())
 }

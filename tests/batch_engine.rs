@@ -1,5 +1,5 @@
 //! Batch-vs-sequential equivalence for every backend (acceptance bar of
-//! the batch-first engine): `multiply_batch` over mixed job kinds must
+//! the batch-first engine): `EvalEngine::run` over mixed job kinds must
 //! bit-match sequential `multiply`, including repeated handle reuse across
 //! batches, on the SSA software backend, the simulated accelerator, and
 //! the schoolbook raw-handle fallback.
@@ -20,9 +20,9 @@ fn arb_kinds(max_jobs: usize) -> impl Strategy<Value = Vec<u8>> {
 }
 
 /// Builds the mixed batch described by `kinds` (every job pairs the fixed
-/// operand with a stream element, cycling), runs it through
-/// `multiply_batch` AND the sharded engine, and checks both against
-/// sequential one-shot products.
+/// operand with a stream element, cycling), runs it through the backend's
+/// native batch (`EvalEngine::run` at the default width) AND the sharded
+/// engine, and checks both against sequential one-shot products.
 fn check_backend<M: Multiplier + Sync>(backend: &M, fixed: &UBig, stream: &[UBig], kinds: &[u8]) {
     let fixed_handle = backend.prepare(fixed).expect("fixed operand fits");
     let stream_handles: Vec<OperandHandle> = stream
@@ -43,7 +43,7 @@ fn check_backend<M: Multiplier + Sync>(backend: &M, fixed: &UBig, stream: &[UBig
                 }
             })
             .collect();
-        let batch = backend.multiply_batch(&jobs).expect("jobs fit");
+        let batch = EvalEngine::new(backend).run(&jobs).expect("jobs fit");
         assert_eq!(batch.len(), jobs.len());
         for (i, product) in batch.iter().enumerate() {
             let expected = backend
@@ -113,11 +113,11 @@ fn handle_reuse_across_backends_is_rejected() {
     let hw_handle = hw.prepare(&x).unwrap();
     let jobs = [ProductJob::Prepared(&ssa_handle, &hw_handle)];
     assert!(matches!(
-        ssa.multiply_batch(&jobs).unwrap_err(),
+        EvalEngine::new(ssa).run(&jobs).unwrap_err(),
         MultiplyError::HandleMismatch { .. }
     ));
     assert!(matches!(
-        hw.multiply_batch(&jobs).unwrap_err(),
+        EvalEngine::new(hw).run(&jobs).unwrap_err(),
         MultiplyError::HandleMismatch { .. }
     ));
 }

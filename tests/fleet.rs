@@ -192,7 +192,10 @@ fn handles_do_not_cross_cards_of_different_geometry() {
     let twin_a = SsaSoftware::for_operand_bits(2_000).unwrap();
     let x = UBig::from(0x1234_5678u64);
     let handle = card_a.prepare(&x).unwrap();
-    let err = card_b.multiply_one_prepared(&handle, &x).unwrap_err();
+    let mut product = UBig::zero();
+    let err = card_b
+        .multiply_job_into(&ProductJob::OnePrepared(&handle, &x), &mut product)
+        .unwrap_err();
     match err {
         MultiplyError::HandleMismatch { expected, found } => {
             assert_eq!(found, card_a.provenance());
@@ -208,10 +211,10 @@ fn handles_do_not_cross_cards_of_different_geometry() {
         Err(MultiplyError::HandleMismatch { .. })
     ));
     // The same-geometry twin accepts the foreign handle bit-exactly.
-    assert_eq!(
-        twin_a.multiply_one_prepared(&handle, &x).unwrap(),
-        x.mul_schoolbook(&x)
-    );
+    twin_a
+        .multiply_job_into(&ProductJob::OnePrepared(&handle, &x), &mut product)
+        .unwrap();
+    assert_eq!(product, x.mul_schoolbook(&x));
 }
 
 #[test]
