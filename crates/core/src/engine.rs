@@ -277,14 +277,6 @@ impl<M: Multiplier> EvalEngine<M> {
         self.backend.prepare(a)
     }
 
-    /// The widest operand this engine's backend can multiply, in bits
-    /// (`None` = unbounded) — what a [`crate::serve::ServerPool`] under
-    /// [`crate::serve::RoutePolicy::BySize`] routes against (see
-    /// [`Multiplier::operand_capacity_bits`]).
-    pub fn operand_capacity_bits(&self) -> Option<usize> {
-        self.backend.operand_capacity_bits()
-    }
-
     /// Sharding width for the explicit-width path (`run` delegates to the
     /// backend's native batch before this is consulted when `threads == 0`).
     fn workers(&self, jobs: usize) -> usize {

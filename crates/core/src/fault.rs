@@ -308,10 +308,6 @@ impl<M: Multiplier> Multiplier for FaultyMultiplier<M> {
     fn trim_resources(&self) {
         self.inner.trim_resources();
     }
-
-    fn operand_capacity_bits(&self) -> Option<usize> {
-        self.inner.operand_capacity_bits()
-    }
 }
 
 #[cfg(test)]

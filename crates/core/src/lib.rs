@@ -94,9 +94,9 @@ pub use multiplier::{
 };
 pub use serve::{
     completion_channel, CancelHandle, CardHealth, ClientSession, Completion, CompletionMint,
-    CompletionQueue, CompletionReceiver, CompletionSink, DrainOutcome, FlushPolicy, PoolStats,
-    ProductRequest, ProductTicket, RoutePolicy, ServeConfig, ServeError, ServeStats,
-    ServedMultiplier, ServerPool, SubmitError, Submitter,
+    CompletionQueue, CompletionReceiver, CompletionSink, DrainOutcome, PoolStats, ProductRequest,
+    ProductTicket, ServeConfig, ServeError, ServeStats, ServedMultiplier, ServerPool, SubmitError,
+    Submitter,
 };
 
 /// What `benchmark/`, `examples/`, `tests/` and the doctests import through
@@ -109,8 +109,8 @@ pub mod prelude {
     };
     pub use crate::serve::{
         completion_channel, CardHealth, ClientSession, Completion, CompletionQueue, CompletionSink,
-        FlushPolicy, PoolStats, ProductRequest, ProductTicket, RoutePolicy, ServeConfig,
-        ServeError, ServeStats, ServedMultiplier, ServerPool, SubmitError, Submitter,
+        PoolStats, ProductRequest, ProductTicket, ServeConfig, ServeError, ServeStats,
+        ServedMultiplier, ServerPool, SubmitError, Submitter,
     };
     pub use he_bigint::UBig;
     pub use he_dghv::{CompressedKeyPair, DghvParams, KeyPair};

@@ -212,15 +212,6 @@ pub trait Multiplier {
     /// backend frees its idle scratch units. Long-lived servers call this
     /// when traffic goes quiet — the next product re-grows what it needs.
     fn trim_resources(&self) {}
-
-    /// The widest operand (in bits) this instance can multiply, or `None`
-    /// when unbounded (the classical algorithms). Sized backends — the
-    /// SSA multiplier, the simulated accelerator — report their transform
-    /// plan's capacity; the serving fleet's [`crate::serve::RoutePolicy::BySize`]
-    /// routes jobs to cards whose capacity fits them.
-    fn operand_capacity_bits(&self) -> Option<usize> {
-        None
-    }
 }
 
 // Full delegation (not just the required methods), so backend overrides —
@@ -257,10 +248,6 @@ impl<M: Multiplier + ?Sized> Multiplier for &M {
 
     fn trim_resources(&self) {
         (**self).trim_resources();
-    }
-
-    fn operand_capacity_bits(&self) -> Option<usize> {
-        (**self).operand_capacity_bits()
     }
 }
 
@@ -396,10 +383,6 @@ impl Multiplier for SsaSoftware {
     fn trim_resources(&self) {
         self.inner.trim_scratch();
     }
-
-    fn operand_capacity_bits(&self) -> Option<usize> {
-        Some(self.inner.params().max_operand_bits())
-    }
 }
 
 /// The paper's accelerator, cycle-simulated.
@@ -522,10 +505,6 @@ impl Multiplier for HardwareSim {
             *slot = product;
         }
         Ok(())
-    }
-
-    fn operand_capacity_bits(&self) -> Option<usize> {
-        Some(self.inner.params().max_operand_bits())
     }
 }
 

@@ -11,13 +11,12 @@
 //! eviction removes least-recently-used digest entries first and touches
 //! pins only when nothing else is left to give, in O(evicted). Admission
 //! is **second-sight** ([`RecentDigests::admits`]): one-shot operands
-//! neither allocate a spectrum nor evict a recurring one; pins and
-//! speculatively staged spectra are inserted directly.
+//! neither allocate a spectrum nor evict a recurring one; pins are
+//! inserted directly.
 //!
-//! Three instances serve the fleet: each card's prepared-handle cache,
-//! the speculative preparer's staging store (cards [`KeyedLru::take`]
-//! from it, provenance-checked), and the pool's registry of live pins
-//! (no value, just the operands to replay into a restarted card).
+//! Two instances serve the fleet: each card's prepared-handle cache, and
+//! the pool's registry of live pins (no value, just the operands to
+//! replay into a restarted card).
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
@@ -26,7 +25,7 @@ use std::sync::Arc;
 
 use he_bigint::UBig;
 
-use crate::engine::{HandleProvenance, OperandHandle};
+use crate::engine::OperandHandle;
 
 /// How an entry is found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -74,18 +73,14 @@ impl RecentDigests {
         (digest % RECENT_DIGESTS as u64) as usize
     }
 
-    pub(super) fn contains(&self, digest: u64) -> bool {
-        self.0.get(Self::at(digest)) == Some(&Some(digest))
-    }
-
     /// Records a sighting; returns whether the digest was already there.
     pub(super) fn sight(&mut self, digest: u64) -> bool {
         let slot = self.0.get_mut(Self::at(digest));
         slot.is_some_and(|slot| slot.replace(digest) == Some(digest))
     }
 
-    /// Second-sight admission: whether an operand a flush found neither
-    /// cached nor staged earns a cache slot. A pin always does; an inline
+    /// Second-sight admission: whether an operand a flush did not find
+    /// cached earns a cache slot. A pin always does; an inline
     /// operand does once its digest has been sighted before — earlier,
     /// or again inside the same flush (`repeats`). Records the sighting.
     pub(super) fn admits(&mut self, key: Key, repeats: bool) -> bool {
@@ -124,8 +119,7 @@ pub(super) struct KeyedLru<V> {
     order: BTreeMap<(bool, u64), Key>,
 }
 
-/// A cache of prepared handles: a card's own, or the speculative
-/// preparer's staging store.
+/// A card's cache of prepared handles.
 pub(super) type OperandCache = KeyedLru<OperandHandle>;
 
 impl<V> KeyedLru<V> {
@@ -257,21 +251,6 @@ impl KeyedLru<OperandHandle> {
     pub(super) fn of_handles(budget: usize) -> OperandCache {
         KeyedLru::new(budget, OperandHandle::resident_bytes)
     }
-
-    /// Removes and returns the handle staged for `operand`, if it is
-    /// present and was prepared by an instance interchangeable with
-    /// `provenance`.
-    pub(super) fn take(
-        &mut self,
-        key: Key,
-        operand: &UBig,
-        provenance: HandleProvenance,
-    ) -> Option<(Arc<UBig>, OperandHandle)> {
-        if self.get(key, operand)?.provenance() != provenance {
-            return None;
-        }
-        self.remove(key, operand)
-    }
 }
 // lint: end supervisor
 
@@ -279,7 +258,7 @@ impl KeyedLru<OperandHandle> {
 pub(super) mod tests {
     use super::*;
     use crate::engine::EvalEngine;
-    use crate::multiplier::{Multiplier, SsaSoftware};
+    use crate::multiplier::SsaSoftware;
     use proptest::prelude::*;
     use std::collections::HashSet;
 
@@ -333,30 +312,8 @@ pub(super) mod tests {
     }
 
     #[test]
-    fn take_requires_operand_and_provenance_match() {
-        let small = engine(2_000);
-        let large = engine(500_000);
-        let op = UBig::from(77u64);
-        let key = Key::Digest(digest(&op));
-        let mut store = OperandCache::of_handles(4 * entry_bytes(&small));
-        store.insert(key, Arc::new(op.clone()), small.prepare(&op).unwrap());
-        // A different geometry cannot claim the staged spectrum…
-        assert!(store.take(key, &op, large.backend().provenance()).is_none());
-        // …a different operand cannot either, even under the same key…
-        let other = UBig::from(78u64);
-        assert!(store
-            .take(key, &other, small.backend().provenance())
-            .is_none());
-        // …the matching instance takes it exactly once.
-        assert!(store.take(key, &op, small.backend().provenance()).is_some());
-        assert!(store.take(key, &op, small.backend().provenance()).is_none());
-        assert_eq!((store.len(), store.resident_bytes()), (0, 0));
-    }
-
-    #[test]
     fn untouched_entries_age_out_oldest_first() {
-        // The staging store and the pin registry never touch: their LRU
-        // is insertion order. A registry entry weighs its operand alone.
+        // The pin registry never touches: its LRU is insertion order. A registry entry weighs its operand alone.
         let mut registry: KeyedLru<()> = KeyedLru::new(2 * size_of::<u64>(), |()| 0);
         for id in 1..=3u64 {
             registry.insert(Key::Pin(id), Arc::new(UBig::from(id)), ());
@@ -372,12 +329,12 @@ pub(super) mod tests {
     fn the_recent_set_forgets_by_overwriting_never_by_growing() {
         let mut recent = RecentDigests::new();
         assert!(!recent.sight(5));
-        assert!(recent.sight(5) && recent.contains(5));
+        assert!(recent.sight(5));
         // A digest sharing the slot takes it over; the older one is a
         // first sighting again.
         let rival = 5 + RECENT_DIGESTS as u64;
         assert!(!recent.sight(rival));
-        assert!(!recent.contains(5) && recent.contains(rival));
+        assert!(!recent.sight(5));
         assert_eq!(recent.0.len(), RECENT_DIGESTS);
     }
 
@@ -453,7 +410,7 @@ pub(super) mod tests {
     enum Op {
         /// A flush's lookup: touch, and on a miss insert if admitted.
         Lookup(usize, bool),
-        /// A direct insert (a staged spectrum, a replayed pin).
+        /// A direct insert (a replayed pin).
         Insert(usize),
         Remove(usize),
         Evict,

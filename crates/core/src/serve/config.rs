@@ -1,64 +1,11 @@
 //! What an operator sets ([`ServeConfig`]) and what the fleet reports
-//! back ([`ServeStats`] per card, [`PoolStats`] per fleet). Two rules are
-//! not knobs: a free card claims pending work at once, and the cache
-//! admits an inline operand on its second sighting.
+//! back ([`ServeStats`] per card, [`PoolStats`] per fleet). Three rules
+//! are not knobs: a free card claims pending work at once, a contested
+//! flush seats the earliest deadlines first (arrival order when no
+//! deadlines are in play), and the cache admits an inline operand on its
+//! second sighting.
 
 use std::time::Duration;
-
-/// How a card picks jobs out of the shared queue when it claims a flush.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum FlushPolicy {
-    /// Earliest-deadline-first: a flush takes the pending jobs with the
-    /// earliest deadlines (deadline-less jobs rank last, in arrival
-    /// order). Under overload this serves urgent jobs while they can
-    /// still make it, expiring strictly fewer jobs than arrival order;
-    /// with no deadlines in play it degenerates to FIFO exactly.
-    #[default]
-    Edf,
-    /// Strict arrival order, deadlines ignored for *selection* (expiry
-    /// still applies).
-    Fifo,
-}
-
-/// How jobs are matched to cards when a fleet's transform geometries
-/// differ.
-///
-/// ```
-/// use he_accel::prelude::*;
-///
-/// // A small card and a big card behind one queue: by-size routing
-/// // sends each job to a card whose transform fits it.
-/// let pool = ServerPool::spawn(
-///     vec![
-///         EvalEngine::new(SsaSoftware::for_operand_bits(2_000)?),
-///         EvalEngine::new(SsaSoftware::for_operand_bits(100_000)?),
-///     ],
-///     ServeConfig {
-///         route: RoutePolicy::BySize,
-///         ..ServeConfig::default()
-///     },
-/// );
-/// let big = UBig::pow2(50_000); // only the 100k-bit card can run this
-/// let ticket = pool.submit(ProductRequest::new(big.clone(), UBig::from(3u64)))?;
-/// assert_eq!(ticket.wait().expect("routed to the big card"), &big * &UBig::from(3u64));
-/// assert_eq!(pool.shutdown().total().failed, 0);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum RoutePolicy {
-    /// One shared queue, any card claims any job — the right default for
-    /// homogeneous fleets (every card can run everything).
-    #[default]
-    Shared,
-    /// A card only claims jobs whose operands fit its transform geometry
-    /// ([`crate::Multiplier::operand_capacity_bits`]), so a heterogeneous
-    /// fleet — small fast cards next to big ones — serves mixed-size
-    /// traffic with zero capacity failures. A job too big for every
-    /// *live* card stays claimable by all of them (it fails fast with
-    /// the backend's own typed error instead of waiting forever — also
-    /// when the one card that fitted it has died).
-    BySize,
-}
 
 /// Tuning knobs of a [`ServerPool`](super::ServerPool).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,15 +15,12 @@ pub struct ServeConfig {
     /// 1). Claimed micro-batches no longer count against the bound.
     pub queue_capacity: usize,
     /// The most jobs one flush takes (minimum 1). A free card claims
-    /// whatever it may run the moment anything is pending — it never
-    /// waits for a batch to fill — so batches form only from what queued
-    /// while every card was busy.
+    /// whatever is pending the moment anything is — it never waits for a
+    /// batch to fill — so batches form only from what queued while every
+    /// card was busy. When more is pending than a flush takes, the
+    /// earliest deadlines win the seats (deadline-less jobs after them,
+    /// arrival order as tie-breaker).
     pub max_batch: usize,
-    /// How a flush selects its jobs from the shared queue.
-    pub policy: FlushPolicy,
-    /// How jobs are matched to cards of differing transform geometry
-    /// (irrelevant on homogeneous fleets).
-    pub route: RoutePolicy,
     /// Bytes of prepared handles retained **per card** between flushes,
     /// digest-keyed and pinned together (least recently used evicted
     /// first, pins last); `0` disables caching and every job runs as a
@@ -120,8 +64,6 @@ impl Default for ServeConfig {
         ServeConfig {
             queue_capacity: 256,
             max_batch: 64,
-            policy: FlushPolicy::Edf,
-            route: RoutePolicy::Shared,
             cache_bytes: 64 << 20,
             idle_trim_after: Duration::from_millis(250),
             retry_limit: 2,
@@ -171,10 +113,6 @@ pub struct ServeStats {
     /// call pinned by id, served without hashing the operand's data at
     /// all.
     pub pinned_hits: u64,
-    /// Operand lookups answered by the pool's speculative preparer — the
-    /// spectrum was ready before the flush started, off the critical
-    /// path.
-    pub speculative_hits: u64,
     /// Largest single flush, in jobs.
     pub largest_flush: usize,
     /// Idle-trim passes (backend scratch released after a quiet period).
@@ -215,7 +153,6 @@ impl ServeStats {
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
         self.pinned_hits += other.pinned_hits;
-        self.speculative_hits += other.speculative_hits;
         self.largest_flush = self.largest_flush.max(other.largest_flush);
         self.idle_trims += other.idle_trims;
         self.retried += other.retried;
@@ -238,8 +175,7 @@ pub enum CardHealth {
     Restarting,
     /// The card is gone for good: it panicked on a pool with no backend
     /// factory, or exhausted [`ServeConfig::restart_cap`] consecutive
-    /// restart attempts. [`RoutePolicy::BySize`] stops routing to it;
-    /// the fleet serves on with the survivors.
+    /// restart attempts. The fleet serves on with the survivors.
     Dead,
 }
 
@@ -249,9 +185,6 @@ pub enum CardHealth {
 pub struct PoolStats {
     /// Per-card lifetime counters, in card order.
     pub per_worker: Vec<ServeStats>,
-    /// Operands the speculative preparer transformed off the critical
-    /// path (whether or not a card ended up claiming them).
-    pub speculative_prepares: u64,
     /// Non-blocking submissions the pool rejected with
     /// [`SubmitError::Full`](super::SubmitError::Full) — shed load that
     /// no card ever saw.

@@ -10,13 +10,11 @@
 //!
 //! * **One server.** [`ServerPool`] owns the cards (one is a fleet of
 //!   one) and the bounded queue they share. A free card claims whatever
-//!   it may run the moment anything is pending — up to
-//!   [`ServeConfig::max_batch`] jobs, earliest deadlines first
-//!   ([`FlushPolicy`]) — so micro-batches form only from what queued
-//!   while every card was busy; on a heterogeneous fleet
-//!   [`RoutePolicy::BySize`] keeps jobs off cards too small for them. A
-//!   job whose deadline passes before execution is answered
-//!   [`ServeError::Expired`] instead of being run.
+//!   is pending the moment anything is — up to [`ServeConfig::max_batch`]
+//!   jobs, earliest deadlines first — so micro-batches form only from
+//!   what queued while every card was busy. A job whose deadline passes
+//!   before execution is answered [`ServeError::Expired`] instead of
+//!   being run.
 //! * **One way in.** Everything that accepts jobs is a [`Submitter`] —
 //!   the pool, a [`ClientSession`] over it, a remote transport — and
 //!   implements a single method: request + sink + block-or-shed.
@@ -42,9 +40,7 @@
 //!   rungs of the batch ladder without the caller managing handles, and
 //!   a flush's admitted misses are prepared in parallel.
 //!   Handles are provenance-stamped, so cards never share spectra unless
-//!   their transform geometry matches. A pool spawned with
-//!   [`ServerPool::spawn_speculative`] additionally pre-transforms the
-//!   fresh partners of recurring operands while they wait in the queue.
+//!   their transform geometry matches.
 //!
 //! The fleet is **self-healing**: every flush runs under panic
 //! containment, its jobs are re-queued to surviving cards (up to
@@ -105,9 +101,7 @@ pub use completion::{
     completion_channel, CancelHandle, Completion, CompletionMint, CompletionQueue,
     CompletionReceiver, CompletionSink, ProductTicket, ServeError, SubmitError, Submitter,
 };
-pub use config::{
-    CardHealth, DrainOutcome, FlushPolicy, PoolStats, RoutePolicy, ServeConfig, ServeStats,
-};
+pub use config::{CardHealth, DrainOutcome, PoolStats, ServeConfig, ServeStats};
 pub use pool::ServerPool;
 pub use queue::ProductRequest;
 pub use session::{ClientSession, ServedMultiplier};

@@ -13,7 +13,7 @@ use super::completion::{CompletionSink, SubmitError, Submitter};
 use super::config::{DrainOutcome, PoolStats, ServeConfig, ServeStats};
 use super::queue::{PoolShared, ProductRequest};
 use super::session::ClientSession;
-use super::worker::{run_speculator, CardFactory, CardWorker};
+use super::worker::{CardFactory, CardWorker};
 use crate::engine::EvalEngine;
 use crate::multiplier::Multiplier;
 
@@ -24,12 +24,10 @@ use crate::multiplier::Multiplier;
 ///
 /// Every card keeps its own operand cache (handles are provenance-stamped
 /// per backend instance), runs its flushes independently, and reports its
-/// own [`ServeStats`]; the queue, the backpressure bound, and the
-/// optional speculative preparer are shared.
+/// own [`ServeStats`]; the queue and the backpressure bound are shared.
 pub struct ServerPool {
     shared: Arc<PoolShared>,
     workers: Vec<JoinHandle<ServeStats>>,
-    speculator: Option<JoinHandle<()>>,
 }
 
 impl core::fmt::Debug for ServerPool {
@@ -37,7 +35,6 @@ impl core::fmt::Debug for ServerPool {
         f.debug_struct("ServerPool")
             .field("workers", &self.workers.len())
             .field("open", &!self.shared.lock_state().closed)
-            .field("speculative", &self.shared.speculation)
             .finish()
     }
 }
@@ -56,7 +53,7 @@ impl ServerPool {
     where
         M: Multiplier + Send + Sync + 'static,
     {
-        ServerPool::spawn_inner(engines, None, None, config)
+        ServerPool::spawn_inner(engines, None, config)
     }
 
     /// Spawns a **supervised** fleet of `cards` workers whose engines come
@@ -96,37 +93,11 @@ impl ServerPool {
     {
         let factory: CardFactory<M> = Arc::new(factory);
         let engines = (0..cards).map(|index| factory(index)).collect();
-        ServerPool::spawn_inner(engines, None, Some(factory), config)
-    }
-
-    /// Like [`ServerPool::spawn`], with one extra engine dedicated to
-    /// **speculative both-cached promotion**: a background task that
-    /// watches which digests the cards keep sighting and pre-transforms
-    /// the fresh partners of those recurring operands while they wait in
-    /// the queue, off the cards' critical path. Cards claim the staged
-    /// spectra at flush time ([`ServeStats::speculative_hits`]); spectra
-    /// are only interchangeable between instances of identical transform
-    /// geometry, so the speculator engine should match the cards it feeds
-    /// (a mismatched geometry is safe but useless — its handles are never
-    /// claimed).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `engines` is empty.
-    pub fn spawn_speculative<M>(
-        engines: Vec<EvalEngine<M>>,
-        speculator: EvalEngine<M>,
-        config: ServeConfig,
-    ) -> ServerPool
-    where
-        M: Multiplier + Send + Sync + 'static,
-    {
-        ServerPool::spawn_inner(engines, Some(speculator), None, config)
+        ServerPool::spawn_inner(engines, Some(factory), config)
     }
 
     fn spawn_inner<M>(
         engines: Vec<EvalEngine<M>>,
-        speculator: Option<EvalEngine<M>>,
         factory: Option<CardFactory<M>>,
         config: ServeConfig,
     ) -> ServerPool
@@ -137,11 +108,7 @@ impl ServerPool {
             !engines.is_empty(),
             "a serving fleet needs at least one card"
         );
-        let capacities = engines
-            .iter()
-            .map(EvalEngine::operand_capacity_bits)
-            .collect();
-        let shared = Arc::new(PoolShared::new(config, capacities, speculator.is_some()));
+        let shared = Arc::new(PoolShared::new(config, engines.len()));
         let workers = engines
             .into_iter()
             .enumerate()
@@ -154,18 +121,7 @@ impl ServerPool {
                     .expect("spawn serving-card worker")
             })
             .collect();
-        let speculator = speculator.map(|engine| {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("he-serve-speculator".into())
-                .spawn(move || run_speculator(engine, shared))
-                .expect("spawn speculative preparer")
-        });
-        ServerPool {
-            shared,
-            workers,
-            speculator,
-        }
+        ServerPool { shared, workers }
     }
 
     /// Number of cards serving this pool.
@@ -197,7 +153,6 @@ impl ServerPool {
     fn pool_stats(&self, per_worker: Vec<ServeStats>) -> PoolStats {
         PoolStats {
             per_worker,
-            speculative_prepares: self.shared.spec_prepares.load(Ordering::Relaxed),
             shed: self.shared.shed.load(Ordering::Relaxed),
             health: self.shared.health_snapshot(),
         }
@@ -215,9 +170,6 @@ impl ServerPool {
             .zip(&self.shared.live)
             .map(|(worker, live)| worker.join().unwrap_or_else(|_| *lock_or_recover(live)))
             .collect();
-        if let Some(speculator) = self.speculator.take() {
-            let _ = speculator.join();
-        }
         // Jobs accepted after the cards drained and exited (a losing race
         // with shutdown) answer `Closed` through their dropped sinks.
         self.shared.lock_state().pending.clear();

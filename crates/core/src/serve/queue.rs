@@ -11,13 +11,9 @@ use std::time::{Duration, Instant};
 use he_bigint::UBig;
 use he_ntt::par::lock_or_recover;
 
-use super::cache::{digest, KeyedLru, OperandCache, RecentDigests};
+use super::cache::{KeyedLru, RecentDigests};
 use super::completion::{CompletionSink, SubmitError};
-use super::config::{CardHealth, FlushPolicy, ServeConfig, ServeStats};
-
-/// Bytes of speculatively prepared handles the pool-shared staging store
-/// retains before cards claim them (oldest evicted first).
-const SPECULATE_STORE_BYTES: usize = 16 << 20;
+use super::config::{CardHealth, ServeConfig, ServeStats};
 
 /// One side of a product request: an inline operand, or a reference to
 /// an operand a session registered (pinned in every card's cache by id —
@@ -68,9 +64,8 @@ impl ProductRequest {
     /// *started executing* by then, it is answered with
     /// [`ServeError::Expired`](super::ServeError::Expired) instead of
     /// occupying a card. A free card claims pending work at once, so a
-    /// deadline is only ever at risk behind a busy fleet — where, under
-    /// [`FlushPolicy::Edf`], an earlier deadline wins a seat in the next
-    /// flush.
+    /// deadline is only ever at risk behind a busy fleet — where an
+    /// earlier deadline wins a seat in the next flush.
     pub fn with_deadline(mut self, timeout: Duration) -> ProductRequest {
         self.deadline = Some(Instant::now() + timeout);
         self
@@ -131,29 +126,13 @@ impl ProductRequest {
             deadline: None,
         }
     }
-
-    /// The job's size for routing: the wider of its two operands, in
-    /// bits.
-    fn required_bits(&self) -> usize {
-        self.a.value().bit_len().max(self.b.value().bit_len())
-    }
 }
 
 /// One queued job.
 pub(super) struct Submitted {
     pub(super) request: ProductRequest,
-    /// Arrival order, the FIFO rank and the EDF tie-breaker.
+    /// Arrival order, the EDF tie-breaker.
     pub(super) seq: u64,
-    /// `(digest(a), digest(b))`, stamped at submission **outside** the
-    /// queue lock — only on speculative pools, and only for fully inline
-    /// requests — so the speculative preparer's queue scans never hash
-    /// multi-hundred-KB operands while holding the mutex every submitter
-    /// and card contends on.
-    pub(super) digests: Option<(u64, u64)>,
-    /// The wider operand's bit length, stamped at submission so
-    /// by-size eligibility checks under the queue lock are integer
-    /// compares.
-    pub(super) required_bits: usize,
     /// Times this job has been re-queued after a failed flush (panic or
     /// transient device fault); [`ServeConfig::retry_limit`] bounds it.
     pub(super) retries: u32,
@@ -171,20 +150,14 @@ pub(super) struct QueueState {
 }
 
 /// The shared (backend-agnostic) half of a fleet: the bounded queue, the
-/// speculation rendezvous, and the live per-card stats slots.
+/// fleet-wide admission state, and the live per-card stats slots.
 pub(super) struct PoolShared {
     pub(super) config: ServeConfig,
-    /// Per-card operand capacity in bits (`None` = unbounded), in card
-    /// order — what by-size routing routes against.
-    capacities: Vec<Option<usize>>,
     /// Per-card supervision state ([`CardHealth`] encoded as a `u8`), in
-    /// card order. A worker that exits for good marks its slot `Dead` so
-    /// by-size routing stops routing to a card that will never claim
-    /// again. `Restarting` cards still count as routable: they come back.
+    /// card order; a worker that exits for good marks its slot `Dead`.
     card_health: Vec<AtomicU8>,
     state: Mutex<QueueState>,
-    /// Signaled on every push and on close; workers and the speculative
-    /// preparer wait here.
+    /// Signaled on every push and on close; parked cards wait here.
     not_empty: Condvar,
     /// Signaled on every claim and on close; blocking submitters wait
     /// here.
@@ -193,24 +166,12 @@ pub(super) struct PoolShared {
     /// Cards still running; the last one to exit (panic included) closes
     /// the queue so submitters cannot block on a dead fleet.
     pub(super) workers_alive: AtomicUsize,
-    /// Cards currently parked in their post-trim idle state. The
-    /// pool-shared speculative state is only cleared when **every** card
-    /// is idle: one starved card timing out while its siblings chew
-    /// through a long burst is not fleet idleness.
-    pub(super) trimmed_cards: AtomicUsize,
     /// Per-card stats snapshots, refreshed at every flush boundary so a
     /// live fleet can be observed.
     pub(super) live: Vec<Mutex<ServeStats>>,
-    /// Whether a speculative preparer is running.
-    pub(super) speculation: bool,
     /// Inline digests the cards sighted lately, fleet-wide: what
-    /// second-sight admission asks before caching an operand, and where
-    /// the speculative preparer finds the recurring side of a queued
-    /// job.
+    /// second-sight admission asks before caching an operand.
     pub(super) recent: Mutex<RecentDigests>,
-    /// Speculatively prepared handles staged for cards to claim.
-    pub(super) spec_store: Mutex<OperandCache>,
-    pub(super) spec_prepares: AtomicU64,
     /// Non-blocking submissions rejected because the queue was full.
     pub(super) shed: AtomicU64,
     /// Id source for session pins — pool-global so no two sessions (or
@@ -231,15 +192,9 @@ pub(super) struct PoolShared {
 // client reply sinks: a panic is a hung client, so these paths stay free
 // of unwrap/expect/panic/indexing.)
 impl PoolShared {
-    pub(super) fn new(
-        config: ServeConfig,
-        capacities: Vec<Option<usize>>,
-        speculation: bool,
-    ) -> PoolShared {
-        let cards = capacities.len();
+    pub(super) fn new(config: ServeConfig, cards: usize) -> PoolShared {
         PoolShared {
             config,
-            capacities,
             card_health: (0..cards)
                 .map(|_| AtomicU8::new(CardHealth::Live as u8))
                 .collect(),
@@ -251,14 +206,10 @@ impl PoolShared {
             not_full: Condvar::new(),
             seq: AtomicU64::new(0),
             workers_alive: AtomicUsize::new(cards),
-            trimmed_cards: AtomicUsize::new(0),
             live: (0..cards)
                 .map(|_| Mutex::new(ServeStats::default()))
                 .collect(),
-            speculation,
             recent: Mutex::new(RecentDigests::new()),
-            spec_store: Mutex::new(OperandCache::of_handles(SPECULATE_STORE_BYTES)),
-            spec_prepares: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             pin_seq: AtomicU64::new(0),
             pin_registry: Mutex::new(KeyedLru::new(config.cache_bytes, |()| 0)),
@@ -271,8 +222,7 @@ impl PoolShared {
         self.not_full.notify_all();
     }
 
-    /// Wakes every parked card (and the speculative preparer) to
-    /// re-evaluate the queue.
+    /// Wakes every parked card to re-evaluate the queue.
     pub(super) fn wake_cards(&self) {
         self.not_empty.notify_all();
     }
@@ -321,24 +271,6 @@ impl PoolShared {
         self.card_health.iter().map(PoolShared::health).collect()
     }
 
-    /// Card `index`'s transform capacity in bits (`None` = unbounded).
-    pub(super) fn capacity(&self, index: usize) -> Option<usize> {
-        self.capacities.get(index).copied().flatten()
-    }
-
-    /// Whether any **non-dead** card's geometry fits an operand of `bits`
-    /// bits (dead cards cannot claim, so they must not keep jobs routed
-    /// away from the survivors; a restarting card still counts — it comes
-    /// back).
-    pub(super) fn fits_any_live(&self, bits: usize) -> bool {
-        self.capacities
-            .iter()
-            .zip(&self.card_health)
-            .any(|(cap, health)| {
-                PoolShared::health(health) != CardHealth::Dead && cap.is_none_or(|c| bits <= c)
-            })
-    }
-
     /// Puts a job from a failed flush back on the queue for the next
     /// claim — surviving cards (or this one, once restarted) pick it up.
     /// Bypasses the capacity bound (the job was already admitted once;
@@ -358,16 +290,6 @@ impl PoolShared {
         reply: CompletionSink,
         blocking: bool,
     ) -> Result<(), SubmitError> {
-        // On speculative pools digests are paid once per submission — on
-        // the submitter's thread, before any lock. Pinned operands never
-        // hash; their jobs simply opt out of speculation.
-        let digests = match (&request.a, &request.b) {
-            (Operand::Inline(a), Operand::Inline(b)) if self.speculation => {
-                Some((digest(a), digest(b)))
-            }
-            _ => None,
-        };
-        let required_bits = request.required_bits();
         let capacity = self.config.queue_capacity.max(1);
         let mut state = self.lock_state();
         loop {
@@ -386,8 +308,6 @@ impl PoolShared {
         state.pending.push_back(Submitted {
             request,
             seq: self.seq.fetch_add(1, Ordering::Relaxed),
-            digests,
-            required_bits,
             retries: 0,
             suspect: false,
             reply,
@@ -398,50 +318,44 @@ impl PoolShared {
     }
 }
 
-/// The claim decision: which of the claiming card's `eligible` jobs
-/// (queue positions, ascending) leave `pending` as its next flush. A
-/// suspect — a job that rode a panicked flush — goes **alone** and
-/// first: if it is poisonous it takes down only that flush, and if it is
-/// an innocent batch-mate it completes without queueing behind anyone.
-/// Otherwise the card takes up to `max_batch` jobs under the configured
-/// [`FlushPolicy`]. Batch and remainder both keep arrival order.
-pub(super) fn pop_batch(
-    pending: &mut VecDeque<Submitted>,
-    eligible: &[usize],
-    config: &ServeConfig,
-) -> Vec<Submitted> {
-    let job = |i: &usize| pending.get(*i);
-    let suspect = eligible
-        .iter()
-        .find(|i| job(i).is_some_and(|job| job.suspect));
-    let mut chosen: Vec<usize> = match suspect {
-        Some(&suspect) => vec![suspect],
-        None => eligible.to_vec(),
-    };
+/// The claim decision: which pending jobs leave `pending` as the claiming
+/// card's next flush. A suspect — a job that rode a panicked flush — goes
+/// **alone** and first: if it is poisonous it takes down only that flush,
+/// and if it is an innocent batch-mate it completes without queueing
+/// behind anyone. Otherwise the card takes up to `max_batch` jobs; when
+/// seats are contested, the earliest deadlines win them (deadline-less
+/// jobs after, arrival order as tie-breaker), which with no deadlines in
+/// play is arrival order exactly. Batch and remainder both keep queue
+/// order.
+pub(super) fn pop_batch(pending: &mut VecDeque<Submitted>, config: &ServeConfig) -> Vec<Submitted> {
+    if let Some(suspect) = pending.iter().position(|job| job.suspect) {
+        return pending.remove(suspect).into_iter().collect();
+    }
     let take = config.max_batch.max(1);
-    if chosen.len() > take && matches!(config.policy, FlushPolicy::Edf) {
-        // Seats are contested: earliest deadline first, deadline-less
-        // jobs after them, arrival order as tie-breaker; a stale index
-        // (nothing pending there) sorts last.
-        chosen.sort_by_key(|i| {
-            job(i).map_or((true, true, None, 0), |job| {
-                let deadline = job.request.deadline;
-                (false, deadline.is_none(), deadline, job.seq)
-            })
-        });
+    if pending.len() <= take {
+        return pending.drain(..).collect();
     }
-    chosen.truncate(take);
+    let mut ranked: Vec<_> = pending
+        .iter()
+        .enumerate()
+        .map(|(i, job)| {
+            let deadline = job.request.deadline;
+            (deadline.is_none(), deadline, job.seq, i)
+        })
+        .collect();
+    ranked.sort_unstable();
+    let mut chosen: Vec<usize> = ranked.into_iter().take(take).map(|(.., i)| i).collect();
     chosen.sort_unstable();
-    // The common case — arrival order, or every pending job taken — is
-    // the head of the queue: no rebuild.
-    if chosen.last().is_none_or(|&last| last + 1 == chosen.len()) {
-        return pending.drain(..chosen.len().min(pending.len())).collect();
+    // The common case — arrival order wins — is the head of the queue:
+    // no rebuild.
+    if chosen.last() == Some(&(take - 1)) {
+        return pending.drain(..take).collect();
     }
-    // By-size and deadline-ranked claims sit anywhere in the queue:
-    // rebuild it around them.
+    // Deadline-ranked claims sit anywhere in the queue: rebuild it around
+    // them.
     let mut chosen = chosen.iter().peekable();
-    let mut batch = Vec::with_capacity(chosen.len());
-    let mut rest = VecDeque::with_capacity(pending.len().saturating_sub(chosen.len()));
+    let mut batch = Vec::with_capacity(take);
+    let mut rest = VecDeque::with_capacity(pending.len().saturating_sub(take));
     for (i, job) in pending.drain(..).enumerate() {
         if chosen.next_if_eq(&&i).is_some() {
             batch.push(job);
@@ -465,10 +379,8 @@ mod tests {
         let mut request = ProductRequest::new(UBig::from(seq), UBig::from(seq));
         request.deadline = deadline_ms.map(|ms| base + Duration::from_millis(ms));
         Submitted {
-            required_bits: request.required_bits(),
             request,
             seq,
-            digests: None,
             retries: 0,
             suspect: false,
             reply: completion_channel().0.sink(seq),
@@ -485,87 +397,73 @@ mod tests {
         batch.iter().map(|job| job.seq).collect()
     }
 
+    /// What strict arrival order would claim — the comparator EDF is
+    /// measured against: the first `max_batch` jobs by `seq`.
+    fn fifo(pending: &VecDeque<Submitted>, config: &ServeConfig) -> Vec<u64> {
+        let mut order: Vec<u64> = pending.iter().map(|job| job.seq).collect();
+        order.sort_unstable();
+        order.truncate(config.max_batch);
+        order
+    }
+
     #[test]
     fn edf_claims_earliest_deadlines_first() {
         let config = ServeConfig {
             max_batch: 2,
-            policy: FlushPolicy::Edf,
             ..ServeConfig::default()
         };
         let mut pending = pending_of(
             Instant::now(),
             &[(0, None), (1, Some(500)), (2, Some(50)), (3, Some(200))],
         );
-        let all: Vec<usize> = (0..pending.len()).collect();
-        // The 50 ms and 200 ms deadlines outrank the 500 ms one and the
-        // deadline-less job.
-        assert_eq!(seqs(&pop_batch(&mut pending, &all, &config)), vec![2, 3]);
-        assert_eq!(pending.len(), 2);
-        // FIFO takes arrival order regardless of deadlines.
-        let fifo = ServeConfig {
-            policy: FlushPolicy::Fifo,
-            ..config
-        };
-        let all: Vec<usize> = (0..pending.len()).collect();
-        assert_eq!(seqs(&pop_batch(&mut pending, &all, &fifo)), vec![0, 1]);
+        // Arrival order would take the two oldest regardless of
+        // deadlines…
+        assert_eq!(fifo(&pending, &config), vec![0, 1]);
+        // …EDF seats the 50 ms and 200 ms deadlines ahead of the 500 ms
+        // one and the deadline-less job.
+        assert_eq!(seqs(&pop_batch(&mut pending, &config)), vec![2, 3]);
+        assert_eq!(seqs(pending.make_contiguous()), vec![0, 1]);
     }
 
     #[test]
     fn edf_expires_fewer_than_fifo_under_overload() {
         // Deterministic queue-order check (no live threads): 4 pending
         // jobs, capacity for 2 per flush. The last two carry the tight
-        // deadlines; EDF runs them first, FIFO lets them expire.
-        let base = Instant::now();
-        let claim = |policy: FlushPolicy| {
-            let mut pending = pending_of(base, &[(0, None), (1, None), (2, Some(1)), (3, Some(2))]);
-            let config = ServeConfig {
-                max_batch: 2,
-                policy,
-                ..ServeConfig::default()
-            };
-            let all: Vec<usize> = (0..pending.len()).collect();
-            seqs(&pop_batch(&mut pending, &all, &config))
-        };
-        assert_eq!(claim(FlushPolicy::Edf), vec![2, 3]);
-        assert_eq!(claim(FlushPolicy::Fifo), vec![0, 1]);
-    }
-
-    #[test]
-    fn pop_batch_leaves_ineligible_jobs_queued() {
-        // The by-size claim path: a card only pops its eligible subset;
-        // the rest stay in arrival order for the cards that fit them.
+        // deadlines; EDF runs them first, arrival order would leave both
+        // behind to expire while the first flush runs.
         let config = ServeConfig {
-            max_batch: 8,
-            policy: FlushPolicy::Fifo,
+            max_batch: 2,
             ..ServeConfig::default()
         };
-        let jobs: Vec<(u64, Option<u64>)> = (0..5).map(|seq| (seq, None)).collect();
-        let mut pending = pending_of(Instant::now(), &jobs);
-        assert_eq!(seqs(&pop_batch(&mut pending, &[1, 3], &config)), vec![1, 3]);
-        assert_eq!(
-            pending.iter().map(|j| j.seq).collect::<Vec<_>>(),
-            vec![0, 2, 4]
+        let mut pending = pending_of(
+            Instant::now(),
+            &[(0, None), (1, None), (2, Some(1)), (3, Some(2))],
         );
+        let urgent_left_behind =
+            |claimed: &[u64]| [2, 3].iter().filter(|seq| !claimed.contains(seq)).count();
+        assert_eq!(urgent_left_behind(&fifo(&pending, &config)), 2);
+        let edf = seqs(&pop_batch(&mut pending, &config));
+        assert_eq!(edf, vec![2, 3]);
+        assert_eq!(urgent_left_behind(&edf), 0);
     }
 
     #[test]
     fn a_free_card_claims_whatever_is_pending_up_to_max_batch() {
-        // The claim decision takes the queue and the eligible set and
-        // nothing else — no clock, no age, no window: a lone job is a
-        // flush of one, a backlog is cut at `max_batch`.
+        // The claim decision takes the queue and the config and nothing
+        // else — no clock, no age, no window: a lone job is a flush of
+        // one, a backlog is cut at `max_batch`.
         let config = ServeConfig {
             max_batch: 3,
             ..ServeConfig::default()
         };
         let mut pending = pending_of(Instant::now(), &[(0, Some(900))]);
-        assert_eq!(seqs(&pop_batch(&mut pending, &[0], &config)), vec![0]);
+        assert_eq!(seqs(&pop_batch(&mut pending, &config)), vec![0]);
         assert!(pending.is_empty());
         let jobs: Vec<(u64, Option<u64>)> = (0..5).map(|seq| (seq, None)).collect();
         let mut pending = pending_of(Instant::now(), &jobs);
-        let all: Vec<usize> = (0..pending.len()).collect();
-        assert_eq!(seqs(&pop_batch(&mut pending, &all, &config)), vec![0, 1, 2]);
-        assert_eq!(seqs(&pop_batch(&mut pending, &[0, 1], &config)), vec![3, 4]);
-        assert!(pop_batch(&mut pending, &[], &config).is_empty());
+        assert_eq!(seqs(&pop_batch(&mut pending, &config)), vec![0, 1, 2]);
+        assert_eq!(seqs(&pop_batch(&mut pending, &config)), vec![3, 4]);
+        assert!(pop_batch(&mut pending, &config).is_empty());
     }
 
     #[test]
@@ -575,11 +473,10 @@ mod tests {
         pending[1].suspect = true;
         pending[2].suspect = true;
         // Not even an urgent deadline shares a flush with a suspect…
-        assert_eq!(seqs(&pop_batch(&mut pending, &[0, 1, 2], &config)), vec![1]);
-        // …a suspect this card may not run stays where it is…
-        assert_eq!(seqs(&pop_batch(&mut pending, &[0], &config)), vec![0]);
+        assert_eq!(seqs(&pop_batch(&mut pending, &config)), vec![1]);
         // …and two suspects never ride together.
-        assert_eq!(seqs(&pop_batch(&mut pending, &[0], &config)), vec![2]);
+        assert_eq!(seqs(&pop_batch(&mut pending, &config)), vec![2]);
+        assert_eq!(seqs(&pop_batch(&mut pending, &config)), vec![0]);
         assert!(pending.is_empty());
     }
 
@@ -588,26 +485,23 @@ mod tests {
         // `pop_batch` drains the head of the queue when the chosen jobs
         // are its head and rebuilds the queue around them when they are
         // not. The same four jobs claimed both ways — once as the whole
-        // head, once from behind a job this card may not run — must come
-        // out as the same batch and leave the same remainder order.
+        // head, once from behind a deadline-less job they outrank — must
+        // come out as the same batch and leave the same remainder order.
         let base = Instant::now();
+        let config = ServeConfig {
+            max_batch: 4,
+            ..ServeConfig::default()
+        };
         let jobs: Vec<(u64, Option<u64>)> = (0..6).map(|seq| (seq, Some(100 + seq))).collect();
-        for policy in [FlushPolicy::Edf, FlushPolicy::Fifo] {
-            let config = ServeConfig {
-                max_batch: 4,
-                policy,
-                ..ServeConfig::default()
-            };
-            let mut head = pending_of(base, &jobs);
-            let drained = pop_batch(&mut head, &[0, 1, 2, 3, 4, 5], &config);
-            let mut blocked = pending_of(base, &[(9, None)]);
-            blocked.extend(pending_of(base, &jobs));
-            let rebuilt = pop_batch(&mut blocked, &[1, 2, 3, 4, 5, 6], &config);
-            assert_eq!(seqs(&drained), vec![0, 1, 2, 3], "{policy:?}");
-            assert_eq!(seqs(&rebuilt), seqs(&drained), "{policy:?}");
-            assert_eq!(seqs(head.make_contiguous()), vec![4, 5], "{policy:?}");
-            assert_eq!(seqs(blocked.make_contiguous()), vec![9, 4, 5], "{policy:?}");
-        }
+        let mut head = pending_of(base, &jobs);
+        let drained = pop_batch(&mut head, &config);
+        let mut blocked = pending_of(base, &[(9, None)]);
+        blocked.extend(pending_of(base, &jobs));
+        let rebuilt = pop_batch(&mut blocked, &config);
+        assert_eq!(seqs(&drained), vec![0, 1, 2, 3]);
+        assert_eq!(seqs(&rebuilt), seqs(&drained));
+        assert_eq!(seqs(head.make_contiguous()), vec![4, 5]);
+        assert_eq!(seqs(blocked.make_contiguous()), vec![9, 4, 5]);
         // A ranked claim whose winners sit mid-queue goes through the
         // rebuild and still leaves the rest in arrival order.
         let config = ServeConfig {
@@ -615,10 +509,7 @@ mod tests {
             ..ServeConfig::default()
         };
         let mut pending = pending_of(base, &[(0, None), (1, Some(9)), (2, None), (3, Some(5))]);
-        assert_eq!(
-            seqs(&pop_batch(&mut pending, &[0, 1, 2, 3], &config)),
-            vec![1, 3]
-        );
+        assert_eq!(seqs(&pop_batch(&mut pending, &config)), vec![1, 3]);
         assert_eq!(seqs(pending.make_contiguous()), vec![0, 2]);
     }
 

@@ -206,38 +206,6 @@ fn heterogeneous_cards_each_prepare_their_own_operands() {
 }
 
 #[test]
-fn by_size_routing_keeps_oversized_jobs_off_small_cards() {
-    // A small and a large card under BySize: a job only the large
-    // card fits must never fail, however many times it is submitted.
-    let pool = ServerPool::spawn(
-        vec![small_engine(2_000), small_engine(50_000)],
-        ServeConfig {
-            max_batch: 2,
-            route: RoutePolicy::BySize,
-            ..ServeConfig::default()
-        },
-    );
-    let big = UBig::pow2(20_000);
-    let tickets: Vec<ProductTicket> = (1..=6u64)
-        .map(|k| {
-            pool.submit(ProductRequest::new(big.clone(), UBig::from(k)))
-                .unwrap()
-        })
-        .collect();
-    for (k, ticket) in (1..=6u64).zip(tickets) {
-        assert_eq!(ticket.wait().unwrap(), &big * &UBig::from(k));
-    }
-    // Small jobs still flow (either card may take them).
-    let small = pool
-        .submit(ProductRequest::new(UBig::from(6u64), UBig::from(7u64)))
-        .unwrap();
-    assert_eq!(small.wait().unwrap(), UBig::from(42u64));
-    let stats = pool.shutdown();
-    assert_eq!(stats.total().completed, 7);
-    assert_eq!(stats.total().failed, 0, "stats: {stats:?}");
-}
-
-#[test]
 fn session_pins_survive_lru_pressure() {
     // A budget of exactly one entry evicts every digest-cached operand
     // at the end of its flush; the pinned operand is exempt.

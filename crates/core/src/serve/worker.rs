@@ -1,9 +1,8 @@
-//! One card of the fleet — claim whatever is pending the moment the card
+//! One card of the fleet: claim whatever is pending the moment the card
 //! is free, resolve its operands against the card's cache, run it under
-//! panic containment, answer every job — and the speculative preparer
-//! that works ahead of the cards.
+//! panic containment, answer every job.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -14,7 +13,7 @@ use he_ntt::par::lock_or_recover;
 
 use super::cache::{digest, Key, OperandCache};
 use super::completion::{CompletionSink, ServeError};
-use super::config::{CardHealth, RoutePolicy, ServeStats};
+use super::config::{CardHealth, ServeStats};
 use super::queue::{pop_batch, Operand, PoolShared, Submitted};
 use crate::engine::{EvalEngine, OperandHandle, ProductJob};
 use crate::multiplier::{Multiplier, MultiplyError};
@@ -30,10 +29,6 @@ type Reply = (CompletionSink, Result<UBig, ServeError>);
 /// its flush and carried to phase 2 (`None` = the cache is off).
 type JobKeys = (Option<Key>, Option<Key>);
 
-/// How long the speculative preparer waits before rescanning a queue
-/// that held nothing speculable.
-const SPECULATE_POLL: Duration = Duration::from_millis(5);
-
 /// What a card found when it went back to the queue.
 enum Claim {
     Batch(Vec<Submitted>),
@@ -44,8 +39,8 @@ enum Claim {
 /// Phase-1 bookkeeping of one flush.
 #[derive(Default)]
 struct FlushPlan<'a> {
-    /// Operands found neither cached nor staged, in first-seen order:
-    /// what admission decides on.
+    /// Operands not found cached, in first-seen order: what admission
+    /// decides on.
     unresolved: Vec<(Key, &'a Operand)>,
     /// Every key that missed, with its repeat sightings after the first.
     /// Once the first sighting's preparation lands, every repeat is
@@ -69,9 +64,6 @@ pub(super) struct CardWorker<M> {
     /// budget; emptied by an idle trim and rebuilt lazily from the jobs
     /// in hand (requests carry their pinned operands).
     cache: OperandCache,
-    /// This card's transform capacity in bits (`None` = unbounded) — its
-    /// side of the by-size eligibility check.
-    capacity: Option<usize>,
     stats: ServeStats,
     /// Whether this card already trimmed during the current idle period
     /// (one trim per quiet stretch, then park until traffic returns).
@@ -85,22 +77,20 @@ pub(super) struct CardWorker<M> {
 }
 
 /// Runs when a card exits, however it exits. Marks the card
-/// [`CardHealth::Dead`] (and wakes the fleet, so by-size survivors
-/// re-evaluate and claim the jobs only the dead card used to fit); the
-/// **last** card to go additionally closes the queue — a fleet whose
-/// every worker panicked must refuse submissions instead of blocking
-/// them forever — and drops the jobs nobody is left to run, so their
-/// sinks resolve `Closed` instead of hanging until the pool handle is
-/// torn down.
+/// [`CardHealth::Dead`]; the **last** card to go additionally closes the
+/// queue — a fleet whose every worker panicked must refuse submissions
+/// instead of blocking them forever — and drops the jobs nobody is left
+/// to run, so their sinks resolve `Closed` instead of hanging until the
+/// pool handle is torn down.
 struct AliveGuard<'a> {
     shared: &'a PoolShared,
     index: usize,
 }
 
 // lint: supervisor
-// (From here to the end of the speculator, the code runs on worker
-// threads that hold client reply sinks: a panic is a hung client. The
-// he-lint gate keeps these paths free of unwrap/expect/panic/indexing.)
+// (From here to the end marker, the code runs on worker threads that
+// hold client reply sinks: a panic is a hung client. The he-lint gate
+// keeps these paths free of unwrap/expect/panic/indexing.)
 impl Drop for AliveGuard<'_> {
     fn drop(&mut self) {
         self.shared.set_health(self.index, CardHealth::Dead);
@@ -110,10 +100,6 @@ impl Drop for AliveGuard<'_> {
             // clear: every orphaned job's sink drops here, which is what
             // resolves its caller.
             self.shared.lock_state().pending.clear();
-        } else {
-            // Wake parked survivors: jobs this card alone fitted are now
-            // claimable by everyone.
-            self.shared.wake_cards();
         }
     }
 }
@@ -129,40 +115,12 @@ impl<M: Multiplier + Sync> CardWorker<M> {
             index,
             engine,
             cache: OperandCache::of_handles(shared.config.cache_bytes),
-            capacity: shared.capacity(index),
             shared,
             stats: ServeStats::default(),
             trimmed: false,
             factory,
             consecutive_restarts: 0,
         }
-    }
-
-    /// Whether this card may claim `job` under the pool's route policy.
-    fn eligible(&self, job: &Submitted) -> bool {
-        match self.shared.config.route {
-            RoutePolicy::Shared => true,
-            RoutePolicy::BySize => match self.capacity {
-                None => true,
-                // A job no live card fits stays claimable by everyone:
-                // it fails fast with the backend's typed error instead
-                // of waiting on a card that does not exist (or died).
-                Some(cap) => {
-                    job.required_bits <= cap || !self.shared.fits_any_live(job.required_bits)
-                }
-            },
-        }
-    }
-
-    /// Queue positions of the jobs this card may claim (all of them
-    /// under shared routing).
-    fn eligible_indices(&self, pending: &VecDeque<Submitted>) -> Vec<usize> {
-        pending
-            .iter()
-            .enumerate()
-            .filter(|(_, job)| self.eligible(job))
-            .map(|(i, _)| i)
-            .collect()
     }
 
     pub(super) fn run(mut self) -> ServeStats {
@@ -174,10 +132,7 @@ impl<M: Multiplier + Sync> CardWorker<M> {
         loop {
             match self.claim() {
                 Claim::Batch(batch) => {
-                    if self.trimmed {
-                        self.trimmed = false;
-                        self.shared.trimmed_cards.fetch_sub(1, Ordering::AcqRel);
-                    }
+                    self.trimmed = false;
                     let survived = self.flush(batch);
                     self.publish();
                     if survived {
@@ -199,14 +154,6 @@ impl<M: Multiplier + Sync> CardWorker<M> {
                     self.cache.clear();
                     self.stats.idle_trims += 1;
                     self.trimmed = true;
-                    let idle_now = self.shared.trimmed_cards.fetch_add(1, Ordering::AcqRel) + 1;
-                    // The *shared* staging store empties only once the
-                    // whole fleet has gone quiet: wiping staged spectra
-                    // while siblings are still loaded would defeat
-                    // speculation exactly under sustained load.
-                    if self.shared.speculation && idle_now == self.shared.live.len() {
-                        lock_or_recover(&self.shared.spec_store).clear();
-                    }
                     self.publish();
                 }
                 Claim::Closed => break,
@@ -222,23 +169,19 @@ impl<M: Multiplier + Sync> CardWorker<M> {
         }
     }
 
-    /// Blocks until **this card may run** something that is pending,
-    /// the card should trim, or the fleet is shut down. A card in here
-    /// is by definition free, so it never waits in front of a job it
-    /// could run: whatever is eligible is claimed now ([`pop_batch`]),
-    /// and batches form only from what queued while every card was
-    /// busy — the rule `he_hwsim::fleet` simulates.
+    /// Blocks until something is pending, the card should trim, or the
+    /// fleet is shut down. A card in here is by definition free, so it
+    /// never waits in front of a queued job: whatever is pending is
+    /// claimed now ([`pop_batch`]), and batches form only from what
+    /// queued while every card was busy — the rule `he_hwsim::fleet`
+    /// simulates.
     fn claim(&self) -> Claim {
         let config = &self.shared.config;
         let mut state = self.shared.lock_state();
         let mut timed_out = false;
         loop {
-            // Jobs pending for *other* cards are none of this card's
-            // business: an empty eligible set idles (and eventually
-            // trims) this card even while its siblings are loaded.
-            let eligible = self.eligible_indices(&state.pending);
-            if !eligible.is_empty() {
-                let batch = pop_batch(&mut state.pending, &eligible, config);
+            if !state.pending.is_empty() {
+                let batch = pop_batch(&mut state.pending, config);
                 drop(state);
                 // Capacity was freed; unblock waiting submitters.
                 self.shared.not_full.notify_all();
@@ -356,10 +299,9 @@ impl<M: Multiplier + Sync> CardWorker<M> {
     }
 
     /// Phase 1 of a flush: resolve every operand to its cache key — a
-    /// pin's id, or an inline operand's digest, hashed **once** here (or
-    /// already at submission, on a speculative pool) — look it up, claim
-    /// speculatively staged spectra, put what is left through admission,
-    /// and prepare the admitted misses, pinned and inline together, **in
+    /// pin's id, or an inline operand's digest, hashed **once** here —
+    /// look it up, put the misses through admission, and prepare the
+    /// admitted ones, pinned and inline together, **in
     /// parallel** at the product level. An operand that is not admitted
     /// (a first sighting) or that the backend cannot prepare simply
     /// stays uncached — its job runs it raw.
@@ -370,9 +312,8 @@ impl<M: Multiplier + Sync> CardWorker<M> {
         let mut plan = FlushPlan::default();
         let mut keys: Vec<JobKeys> = Vec::with_capacity(live.len());
         for job in live {
-            let (stamp_a, stamp_b) = job.digests.unzip();
-            let key_a = self.resolve(&job.request.a, stamp_a, &mut plan);
-            let key_b = self.resolve(&job.request.b, stamp_b, &mut plan);
+            let key_a = self.resolve(&job.request.a, &mut plan);
+            let key_b = self.resolve(&job.request.b, &mut plan);
             keys.push((Some(key_a), Some(key_b)));
         }
         let mut recent = lock_or_recover(&self.shared.recent);
@@ -421,15 +362,10 @@ impl<M: Multiplier + Sync> CardWorker<M> {
 
     /// Resolves one operand of a flush: its key, and — unless it hit —
     /// where its handle will come from.
-    fn resolve<'a>(
-        &mut self,
-        side: &'a Operand,
-        stamped: Option<u64>,
-        plan: &mut FlushPlan<'a>,
-    ) -> Key {
+    fn resolve<'a>(&mut self, side: &'a Operand, plan: &mut FlushPlan<'a>) -> Key {
         let key = match side {
             Operand::Pinned { id, .. } => Key::Pin(*id),
-            Operand::Inline(value) => Key::Digest(stamped.unwrap_or_else(|| digest(value))),
+            Operand::Inline(value) => Key::Digest(digest(value)),
         };
         if self.cache.touch(key, side.value()) {
             self.credit_hits(key, 1);
@@ -438,24 +374,11 @@ impl<M: Multiplier + Sync> CardWorker<M> {
             }
         } else if let Some(repeats) = plan.repeats.get_mut(&key) {
             *repeats += 1;
-        } else if let Some((operand, handle)) = self.claim_staged(key, side.value()) {
-            self.cache.insert(key, operand, handle);
-            self.stats.speculative_hits += 1;
         } else {
             plan.repeats.insert(key, 0);
             plan.unresolved.push((key, side));
         }
         key
-    }
-
-    /// Takes `operand`'s spectrum from the speculative preparer's staging
-    /// store, if it is there and this card's geometry can use it.
-    fn claim_staged(&self, key: Key, operand: &UBig) -> Option<(Arc<UBig>, OperandHandle)> {
-        if !self.shared.speculation || matches!(key, Key::Pin(_)) {
-            return None;
-        }
-        let provenance = self.engine.backend().provenance();
-        lock_or_recover(&self.shared.spec_store).take(key, operand, provenance)
     }
 
     fn credit_hits(&mut self, key: Key, count: u64) {
@@ -632,7 +555,6 @@ impl<M: Multiplier + Sync> CardWorker<M> {
                 Err(_) => continue,
                 Ok(engine) => {
                     self.engine = engine;
-                    self.capacity = self.engine.operand_capacity_bits();
                     self.stats.restarts += 1;
                     // A panic during replay (a poisonous pin, the device
                     // dying again) fails this attempt.
@@ -667,82 +589,6 @@ impl<M: Multiplier + Sync> CardWorker<M> {
     }
 }
 
-/// The speculative preparer: watches the queue and the fleet's
-/// recent-digest set, and transforms the fresh partners of recurring
-/// operands — *recurring* meaning a card has sighted the operand's digest
-/// lately — into the shared staging store, off the cards' critical
-/// path.
-pub(super) fn run_speculator<M: Multiplier + Sync>(engine: EvalEngine<M>, shared: Arc<PoolShared>) {
-    let config = &shared.config;
-    let per_pass = config.max_batch.max(1);
-    loop {
-        // Snapshot speculation candidates under the queue lock: pending
-        // jobs where one side's digest recurs (its spectrum is cached on
-        // some card, or will be at its next sighting) and the other side
-        // — the stream side — is neither recurring nor already staged.
-        // Digests were stamped at submission (outside this lock), so the
-        // scan is set lookups plus at most `per_pass` bounded operand
-        // clones — it never hashes operand data while submitters and
-        // cards contend on the mutex.
-        let candidates: Vec<(u64, UBig)> = {
-            let mut state = shared.lock_state();
-            while !state.closed && state.pending.is_empty() {
-                state = shared.wait_for_push(state, None).0;
-            }
-            if state.closed {
-                return;
-            }
-            let recent = lock_or_recover(&shared.recent);
-            let store = lock_or_recover(&shared.spec_store);
-            let mut picked: Vec<(u64, UBig)> = Vec::new();
-            let mut picked_keys: HashSet<u64> = HashSet::new();
-            'scan: for job in state.pending.iter() {
-                let Some((key_a, key_b)) = job.digests else {
-                    continue;
-                };
-                let (a, b) = job.request.operands();
-                for (this, key, partner_key) in [(a, key_a, key_b), (b, key_b, key_a)] {
-                    if recent.contains(partner_key)
-                        && !recent.contains(key)
-                        && !store.contains_key(Key::Digest(key))
-                        && picked_keys.insert(key)
-                    {
-                        picked.push((key, this.clone()));
-                        if picked.len() >= per_pass {
-                            break 'scan;
-                        }
-                    }
-                }
-            }
-            picked
-        };
-        if candidates.is_empty() {
-            // Traffic is flowing but nothing is speculable right now
-            // (operands cold, or already staged); re-check after a
-            // pause rather than spinning on the queue lock.
-            let state = shared.lock_state();
-            if state.closed {
-                return;
-            }
-            drop(shared.wait_for_push(state, Some(SPECULATE_POLL)));
-            continue;
-        }
-        for (key, operand) in candidates {
-            if shared.lock_state().closed {
-                return;
-            }
-            if let Ok(handle) = engine.prepare(&operand) {
-                if handle.is_cached() {
-                    let mut store = lock_or_recover(&shared.spec_store);
-                    store.insert(Key::Digest(key), Arc::new(operand), handle);
-                    store.evict_to_capacity();
-                    drop(store);
-                    shared.spec_prepares.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-    }
-}
 // lint: end supervisor
 
 #[cfg(test)]
@@ -762,15 +608,13 @@ mod tests {
     /// then `flush_pending` — no worker thread, no timing. Whatever was
     /// submitted before a `flush_pending` is what queued while the card
     /// was busy, so it flushes together.
-    fn card_with(config: ServeConfig, speculation: bool) -> CardWorker<SsaSoftware> {
-        let engine = engine();
-        let capacities = vec![engine.operand_capacity_bits()];
-        let shared = Arc::new(PoolShared::new(config, capacities, speculation));
-        CardWorker::new(0, engine, shared, None)
+    fn card_with(config: ServeConfig) -> CardWorker<SsaSoftware> {
+        let shared = Arc::new(PoolShared::new(config, 1));
+        CardWorker::new(0, engine(), shared, None)
     }
 
-    fn card(speculation: bool) -> CardWorker<SsaSoftware> {
-        card_with(ServeConfig::default(), speculation)
+    fn card() -> CardWorker<SsaSoftware> {
+        card_with(ServeConfig::default())
     }
 
     /// Enqueues `requests`, tagged by position; each job's cancel handle
@@ -823,7 +667,7 @@ mod tests {
 
     #[test]
     fn each_inline_operand_is_hashed_once_per_flush() {
-        let mut card = card(false);
+        let mut card = card();
         // A recurring operand, a repeat inside the flush, fresh ones.
         let pairs = [(7, 11), (7, 13), (7, 11), (17, 19)];
         for round in 0..2 {
@@ -845,7 +689,7 @@ mod tests {
 
     #[test]
     fn an_inline_operand_earns_its_slot_on_second_sight() {
-        let mut card = card(false);
+        let mut card = card();
         let flush = |card: &mut CardWorker<SsaSoftware>, pairs: &[(u64, u64)]| {
             let receiver = submit(card, pairs);
             flush_pending(card);
@@ -869,57 +713,8 @@ mod tests {
     }
 
     #[test]
-    fn cards_claim_staged_spectra_from_the_speculative_store() {
-        let mut card = card(true);
-        // What the speculator does for the fresh partner of a hot
-        // operand: prepare it on a same-geometry engine and stage it.
-        let fresh = UBig::from(23u64);
-        let staged = engine().prepare(&fresh).unwrap();
-        let key = Key::Digest(digest(&fresh));
-        lock_or_recover(&card.shared.spec_store).insert(key, Arc::new(fresh), staged);
-        let pairs = [(29, 23)];
-        let receiver = submit(&card, &pairs);
-        let before = DIGEST_CALLS.with(|calls| calls.get());
-        flush_pending(&mut card);
-        // Speculative pools stamp digests at submission; the flush reuses
-        // them instead of hashing again.
-        assert_eq!(DIGEST_CALLS.with(|calls| calls.get()), before);
-        assert_products(&receiver, &pairs);
-        assert_eq!(card.stats.speculative_hits, 1);
-        assert_eq!(card.stats.cache_misses, 1, "only the unstaged side");
-        assert!(!lock_or_recover(&card.shared.spec_store).contains_key(key));
-        // A staged spectrum is already paid for: it skips admission.
-        assert_eq!(card.cache.len(), 1);
-    }
-
-    #[test]
-    fn the_speculator_stages_the_fresh_partners_of_a_recurring_operand() {
-        let mut card = card(true);
-        // One flush makes 7 a recurring operand in the fleet's eyes.
-        let warm = [(7, 11)];
-        let receiver = submit(&card, &warm);
-        flush_pending(&mut card);
-        assert_products(&receiver, &warm);
-        // Four jobs queue in front of a card that is not claiming: the
-        // speculator has them to itself until it has staged all four.
-        let pairs = [(7, 13), (7, 17), (7, 19), (7, 23)];
-        let receiver = submit(&card, &pairs);
-        let shared = Arc::clone(&card.shared);
-        std::thread::scope(|scope| {
-            scope.spawn(|| run_speculator(engine(), Arc::clone(&shared)));
-            while shared.spec_prepares.load(Ordering::Relaxed) < 4 {
-                std::thread::yield_now();
-            }
-            flush_pending(&mut card);
-            shared.close();
-        });
-        assert_products(&receiver, &pairs);
-        assert_eq!(card.stats.speculative_hits, 4);
-    }
-
-    #[test]
     fn a_zero_deadline_expires_in_the_queue_and_spares_its_batch_mate() {
-        let mut card = card(false);
+        let mut card = card();
         let doomed = ProductRequest::new(UBig::from(3u64), UBig::from(5u64));
         let fine = ProductRequest::new(UBig::from(7u64), UBig::from(11u64));
         let requests = vec![doomed.with_deadline(Duration::ZERO), fine];
@@ -937,7 +732,7 @@ mod tests {
 
     #[test]
     fn a_cancelled_job_is_dropped_at_claim_and_counted() {
-        let mut card = card(false);
+        let mut card = card();
         let requests = (2..6u64)
             .map(|k| ProductRequest::new(UBig::from(k), UBig::from(k)))
             .collect();
@@ -963,7 +758,7 @@ mod tests {
             cache_bytes: 0,
             ..ServeConfig::default()
         };
-        let mut card = card_with(config, false);
+        let mut card = card_with(config);
         let too_big = UBig::pow2(100_000);
         let bad = ProductRequest::new(too_big.clone(), too_big);
         let good = ProductRequest::new(UBig::from(6u64), UBig::from(7u64));

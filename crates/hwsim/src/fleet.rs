@@ -55,8 +55,9 @@
 use crate::config::AcceleratorConfig;
 use crate::perf::PerfModel;
 
-/// How the simulated host queue orders jobs into micro-batches (mirrors
-/// `he_accel::serve::FlushPolicy`).
+/// How the simulated host queue orders jobs into micro-batches. The real
+/// fleet has one rule, EDF (`he_accel::serve`'s claim decision); FIFO
+/// stays here as the model's own comparator.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FleetPolicy {
     /// Earliest-deadline-first: a card claims the pending jobs with the

@@ -11,7 +11,7 @@
 //! ```text
 //! ┌────────────┬─────────┬────────────┬───────────────┬──────────────┐
 //! │ len: u32   │ ver: u8 │ opcode: u8 │ req_id: u64   │ payload      │
-//! │ (of body)  │  (= 1)  │            │               │ (per opcode) │
+//! │ (of body)  │  (= 2)  │            │               │ (per opcode) │
 //! └────────────┴─────────┴────────────┴───────────────┴──────────────┘
 //! ```
 //!
@@ -30,7 +30,7 @@ use he_accel::{MultiplyError, ServeError, ServeStats};
 use he_bigint::UBig;
 
 /// Protocol version carried by every frame.
-pub const WIRE_VERSION: u8 = 1;
+pub const WIRE_VERSION: u8 = 2;
 
 /// Bytes of the length prefix, the only part of a frame read blind.
 pub const LEN_PREFIX_BYTES: usize = 4;
@@ -326,9 +326,12 @@ fn put_failure(out: &mut Vec<u8>, failure: &WireFailure) {
     }
 }
 
+/// `u64`s in a [`Frame::Stats`] payload.
+const STATS_FIELDS: usize = 16;
+
 /// [`ServeStats`] fields, in wire order. One place owns the order so the
 /// encoder, the decoder, and the field-count stay in lockstep.
-fn stats_fields(stats: &ServeStats) -> [u64; 17] {
+fn stats_fields(stats: &ServeStats) -> [u64; STATS_FIELDS] {
     [
         stats.flushes,
         stats.completed,
@@ -340,7 +343,6 @@ fn stats_fields(stats: &ServeStats) -> [u64; 17] {
         stats.cache_hits,
         stats.cache_misses,
         stats.pinned_hits,
-        stats.speculative_hits,
         stats.largest_flush as u64,
         stats.idle_trims,
         stats.retried,
@@ -350,7 +352,7 @@ fn stats_fields(stats: &ServeStats) -> [u64; 17] {
     ]
 }
 
-fn stats_from_fields(fields: [u64; 17]) -> ServeStats {
+fn stats_from_fields(fields: [u64; STATS_FIELDS]) -> ServeStats {
     ServeStats {
         flushes: fields[0],
         completed: fields[1],
@@ -362,13 +364,12 @@ fn stats_from_fields(fields: [u64; 17]) -> ServeStats {
         cache_hits: fields[7],
         cache_misses: fields[8],
         pinned_hits: fields[9],
-        speculative_hits: fields[10],
-        largest_flush: fields[11] as usize,
-        idle_trims: fields[12],
-        retried: fields[13],
-        reruns: fields[14],
-        restarts: fields[15],
-        poisoned: fields[16],
+        largest_flush: fields[10] as usize,
+        idle_trims: fields[11],
+        retried: fields[12],
+        reruns: fields[13],
+        restarts: fields[14],
+        poisoned: fields[15],
     }
 }
 
@@ -588,7 +589,7 @@ fn decode_body(body: &[u8]) -> Result<Frame, WireError> {
             error: r.failure()?,
         },
         OP_STATS => {
-            let mut fields = [0u64; 17];
+            let mut fields = [0u64; STATS_FIELDS];
             for field in fields.iter_mut() {
                 *field = r.u64()?;
             }
@@ -646,6 +647,21 @@ mod tests {
         assert_eq!(
             Frame::decode(&bytes, DEFAULT_MAX_FRAME_BYTES),
             Err(WireError::BadVersion(99))
+        );
+        // A version-1 peer's stats frame carried 17 fields: it is
+        // refused by its version byte, before its payload is read.
+        let mut bytes = Frame::Stats {
+            req_id: 9,
+            stats: ServeStats::default(),
+        }
+        .encode();
+        bytes[4] = 1;
+        bytes.extend_from_slice(&0u64.to_le_bytes());
+        let body_len = (bytes.len() - LEN_PREFIX_BYTES) as u32;
+        bytes[..LEN_PREFIX_BYTES].copy_from_slice(&body_len.to_le_bytes());
+        assert_eq!(
+            Frame::decode(&bytes, DEFAULT_MAX_FRAME_BYTES),
+            Err(WireError::BadVersion(1))
         );
         let mut bytes = Frame::Ping { req_id: 9 }.encode();
         bytes[5] = 0x7f;

@@ -48,8 +48,9 @@ fn failure() -> impl Strategy<Value = WireFailure> {
     )
 }
 
-fn stats() -> impl Strategy<Value = ServeStats> {
-    proptest::collection::vec(any::<u64>(), 17).prop_map(|f| ServeStats {
+/// The [`ServeStats`] whose 16 wire fields are `f`, in wire order.
+fn stats_of(f: &[u64]) -> ServeStats {
+    ServeStats {
         flushes: f[0],
         completed: f[1],
         failed: f[2],
@@ -60,14 +61,17 @@ fn stats() -> impl Strategy<Value = ServeStats> {
         cache_hits: f[7],
         cache_misses: f[8],
         pinned_hits: f[9],
-        speculative_hits: f[10],
-        largest_flush: f[11] as usize,
-        idle_trims: f[12],
-        retried: f[13],
-        reruns: f[14],
-        restarts: f[15],
-        poisoned: f[16],
-    })
+        largest_flush: f[10] as usize,
+        idle_trims: f[11],
+        retried: f[12],
+        reruns: f[13],
+        restarts: f[14],
+        poisoned: f[15],
+    }
+}
+
+fn stats() -> impl Strategy<Value = ServeStats> {
+    proptest::collection::vec(any::<u64>(), 16).prop_map(|f| stats_of(&f))
 }
 
 /// Every frame variant the protocol speaks, with arbitrary payloads:
@@ -199,7 +203,9 @@ fn byte_mutation_sweep_zero_panics() {
         },
         Frame::Stats {
             req_id: 8,
-            stats: ServeStats::default(),
+            // Every field non-zero and distinct, so a mutation in any of
+            // the 16 is a real change.
+            stats: stats_of(&(1..=16).collect::<Vec<u64>>()),
         },
         Frame::Pong { req_id: 9 },
     ];

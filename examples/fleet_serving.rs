@@ -6,10 +6,10 @@
 //!
 //! Where `server_stream.rs` runs a [`ServerPool`] of one card, this
 //! walkthrough spawns several: the same submit/await surface, but
-//! flushes are claimed by whichever card frees up first, urgent deadlines
-//! are claimed earliest-deadline-first (so an overload expires the fewest
-//! possible jobs), and a speculative preparer transforms the stream-side
-//! operands of queued jobs off the cards' critical path.
+//! flushes are claimed by whichever card frees up first, and urgent
+//! deadlines are claimed earliest-deadline-first (so an overload expires
+//! the fewest possible jobs). The serving layer uses another core by
+//! adding a card.
 //!
 //! Run with: `cargo run --release --example fleet_serving`
 
@@ -33,10 +33,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let engines: Vec<EvalEngine<SsaSoftware>> = (0..cards)
         .map(|_| Ok(EvalEngine::new(SsaSoftware::for_operand_bits(bits)?)))
         .collect::<Result<_, MultiplyError>>()?;
-    let speculator = EvalEngine::new(SsaSoftware::for_operand_bits(bits)?);
-    let pool = ServerPool::spawn_speculative(
+    let pool = ServerPool::spawn(
         engines,
-        speculator,
         ServeConfig {
             queue_capacity: 64,
             max_batch: 8,
@@ -112,8 +110,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         total.expired_in_flush,
     );
     println!(
-        "caches: {} hits / {} misses; speculation: {} prepared ahead, {} claimed by cards",
-        total.cache_hits, total.cache_misses, stats.speculative_prepares, total.speculative_hits,
+        "caches: {} hits / {} misses",
+        total.cache_hits, total.cache_misses
     );
     for (card, worker) in stats.per_worker.iter().enumerate() {
         println!(
