@@ -282,6 +282,17 @@ impl<M: Multiplier> EvalEngine<M> {
     fn workers(&self, jobs: usize) -> usize {
         self.threads.min(jobs).max(1)
     }
+
+    /// How many products this engine computes at once: the explicit
+    /// [`EvalEngine::with_threads`] width when set, otherwise
+    /// [`he_ntt::par::thread_count`].
+    pub(crate) fn width(&self) -> usize {
+        if self.threads > 0 {
+            self.threads
+        } else {
+            he_ntt::par::thread_count()
+        }
+    }
 }
 
 impl<M: Multiplier + Sync> EvalEngine<M> {
@@ -321,11 +332,7 @@ impl<M: Multiplier + Sync> EvalEngine<M> {
     pub fn prepare_many(&self, operands: &[&UBig]) -> Vec<Result<OperandHandle, MultiplyError>> {
         let mut out: Vec<Option<Result<OperandHandle, MultiplyError>>> = Vec::new();
         out.resize_with(operands.len(), || None);
-        let workers = if self.threads > 0 {
-            self.threads
-        } else {
-            he_ntt::par::thread_count()
-        };
+        let workers = self.width();
         // Per-slot results only — the closure is infallible, so the
         // lowest-index-error machinery of the sharded runner never fires.
         let sharded: Result<(), (usize, core::convert::Infallible)> =

@@ -21,19 +21,27 @@
 //! and quarantines it.
 //!
 //! Every fault fires on a schedule derived **only** from the plan's seed
-//! and the wrapper's own call counter — no clocks, no thread identity —
-//! so a chaos test that fails replays identically under the same seed.
-//! The flush counter advances once per batch call
-//! ([`Multiplier::multiply_batch_into`]), which is exactly once per
-//! serving-fleet flush on an [`crate::EvalEngine`] with the default
-//! (native-batch) width.
+//! and the wrapper's own call counter — no clocks, no thread identity.
+//! The counter advances once per batch call
+//! ([`Multiplier::multiply_batch_into`]). A serving card makes one batch
+//! call per **run** of its flush: with the default (native-batch) width
+//! an [`crate::EvalEngine`] runs `he_ntt::par::thread_count()` jobs at a
+//! time, so a flush of more jobs than that is several calls, and a
+//! flush of one job is one. An engine with an explicit
+//! [`crate::EvalEngine::with_threads`] width shards job by job and makes
+//! no batch calls, so the schedule never fires there.
+//!
+//! A chaos test that fails therefore replays identically under the same
+//! seed *and the same engine width*: the same `HE_NTT_THREADS` (or core
+//! count) for automatic-width cards, since the width decides how many
+//! batch calls a flush makes and so which jobs a scheduled fault hits.
 //!
 //! ```
 //! use he_accel::prelude::*;
 //! use he_accel::fault::{FaultPlan, FaultyMultiplier};
 //!
-//! // Every 3rd flush returns a transient device error; the schedule is
-//! // reproducible from the seed alone.
+//! // Every 3rd batch call returns a transient device error; the schedule
+//! // is reproducible from the seed alone.
 //! let plan = FaultPlan::new(7).error_every(3);
 //! let faulty = FaultyMultiplier::new(SsaSoftware::for_operand_bits(256)?, plan);
 //! let a = UBig::from(6u64);
@@ -47,7 +55,7 @@
 //!         assert_eq!(out[0], UBig::from(36u64));
 //!     }
 //! }
-//! assert_eq!(failures, 3, "every 3rd flush faulted, deterministically");
+//! assert_eq!(failures, 3, "every 3rd call faulted, deterministically");
 //! # Ok::<(), he_accel::MultiplyError>(())
 //! ```
 
@@ -71,11 +79,11 @@ fn splitmix64(mut x: u64) -> u64 {
 
 /// A seeded, deterministic fault schedule for [`FaultyMultiplier`].
 ///
-/// Each fault kind fires once every `N` flushes (batch calls), at a phase
-/// offset derived from the seed — so two plans with the same periods but
-/// different seeds fault on different flush numbers, and the same seed
-/// always reproduces the same schedule. A period of `0` (the default)
-/// disables that fault kind.
+/// Each fault kind fires once every `N` batch calls (one per run of a
+/// serving flush), at a phase offset derived from the seed — so two plans
+/// with the same periods but different seeds fault on different calls,
+/// and the same seed always reproduces the same schedule. A period of
+/// `0` (the default) disables that fault kind.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
     seed: u64,
@@ -99,21 +107,21 @@ impl FaultPlan {
         }
     }
 
-    /// Panic on every `period`-th flush (`0` disables).
+    /// Panic on every `period`-th batch call (`0` disables).
     pub fn panic_every(mut self, period: u64) -> FaultPlan {
         self.panic_every = period;
         self
     }
 
-    /// Return [`MultiplyError::Device`] on every `period`-th flush (`0`
-    /// disables). A flush due for both a panic and an error panics.
+    /// Return [`MultiplyError::Device`] on every `period`-th batch call
+    /// (`0` disables). A call due for both a panic and an error panics.
     pub fn error_every(mut self, period: u64) -> FaultPlan {
         self.error_every = period;
         self
     }
 
-    /// Sleep `stall` before every `period`-th flush (`0` disables) — the
-    /// slow-card shape; stalls compose with the other faults.
+    /// Sleep `stall` before every `period`-th batch call (`0` disables) —
+    /// the slow-card shape; stalls compose with the other faults.
     pub fn stall_every(mut self, period: u64, stall: Duration) -> FaultPlan {
         self.stall_every = period;
         self.stall = stall;
@@ -121,7 +129,7 @@ impl FaultPlan {
     }
 
     /// Designates a poison operand: preparing it (or multiplying it
-    /// one-shot) panics **every** time, independent of the flush
+    /// one-shot) panics **every** time, independent of the call
     /// schedule — the misbehaving-workload shape the fleet's quarantine
     /// exists for.
     pub fn poison(mut self, operand: UBig) -> FaultPlan {
@@ -134,7 +142,7 @@ impl FaultPlan {
         self.seed
     }
 
-    /// Whether fault kind `salt` (period `every`) fires on flush `k`.
+    /// Whether fault kind `salt` (period `every`) fires on batch call `k`.
     fn due(&self, k: u64, every: u64, salt: u64) -> bool {
         if every == 0 {
             return false;
@@ -170,7 +178,7 @@ impl FaultPlan {
 /// use he_accel::prelude::*;
 /// use he_accel::fault::{FaultPlan, FaultyMultiplier};
 ///
-/// // A 2-card fleet where card 0 panics every 4th flush; the factory
+/// // A 2-card fleet where card 0 panics every 4th batch call; the factory
 /// // supervision restarts it and traffic keeps flowing.
 /// let pool = ServerPool::with_backend_factory(
 ///     2,
@@ -202,7 +210,7 @@ impl FaultPlan {
 pub struct FaultyMultiplier<M> {
     inner: M,
     plan: FaultPlan,
-    flushes: AtomicU64,
+    calls: AtomicU64,
 }
 
 impl<M> FaultyMultiplier<M> {
@@ -211,7 +219,7 @@ impl<M> FaultyMultiplier<M> {
         FaultyMultiplier {
             inner,
             plan,
-            flushes: AtomicU64::new(0),
+            calls: AtomicU64::new(0),
         }
     }
 
@@ -225,27 +233,30 @@ impl<M> FaultyMultiplier<M> {
         &self.plan
     }
 
-    /// Batch calls seen so far (the flush counter the schedule runs on).
-    pub fn flushes_seen(&self) -> u64 {
-        self.flushes.load(Ordering::Relaxed)
+    /// Batch calls seen so far (the counter the schedule runs on).
+    pub fn calls_seen(&self) -> u64 {
+        self.calls.load(Ordering::Relaxed)
     }
 
     fn poisoned(&self, operand: &UBig) -> bool {
         self.plan.poison.as_ref() == Some(operand)
     }
 
-    /// Applies the flush-granular faults for flush `k`: stall, then panic
-    /// or error (panic wins when both are due).
+    /// Applies the faults due on batch call `k`: stall, then panic or
+    /// error (panic wins when both are due).
     fn inject(&self, k: u64) -> Result<(), MultiplyError> {
         if self.plan.stall_due(k) {
             std::thread::sleep(self.plan.stall);
         }
         if self.plan.panic_due(k) {
-            panic!("injected card death on flush {k} (seed {})", self.plan.seed);
+            panic!(
+                "injected card death on batch call {k} (seed {})",
+                self.plan.seed
+            );
         }
         if self.plan.error_due(k) {
             return Err(MultiplyError::Device(format!(
-                "injected transient fault on flush {k} (seed {})",
+                "injected transient fault on batch call {k} (seed {})",
                 self.plan.seed
             )));
         }
@@ -295,7 +306,7 @@ impl<M: Multiplier> Multiplier for FaultyMultiplier<M> {
         jobs: &[ProductJob<'_>],
         out: &mut [UBig],
     ) -> Result<(), MultiplyError> {
-        let k = self.flushes.fetch_add(1, Ordering::Relaxed);
+        let k = self.calls.fetch_add(1, Ordering::Relaxed);
         self.inject(k)?;
         // Job by job through this wrapper's own job body: a serving card
         // runs operands it has not cached raw, inside the batch, and the
@@ -352,7 +363,7 @@ mod tests {
                 Err(_) => deaths += 1,
             }
         }
-        assert_eq!(deaths, 3, "every 2nd flush died");
+        assert_eq!(deaths, 3, "every 2nd call died");
     }
 
     #[test]

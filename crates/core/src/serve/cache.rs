@@ -99,8 +99,13 @@ struct Slot<V> {
 }
 
 impl<V> Slot<V> {
+    /// Whether this slot holds `operand`: a pin by its id alone, a digest
+    /// entry by identity — the slot shares the request's allocation when
+    /// that request's admission filled it — or else by its bytes.
     fn answers(&self, key: Key, operand: &UBig) -> bool {
-        key.is_pin() || *self.operand == *operand
+        key.is_pin()
+            || std::ptr::eq(Arc::as_ptr(&self.operand), operand)
+            || *self.operand == *operand
     }
 }
 

@@ -19,7 +19,10 @@ pub struct ServeConfig {
     /// batch to fill — so batches form only from what queued while every
     /// card was busy. When more is pending than a flush takes, the
     /// earliest deadlines win the seats (deadline-less jobs after them,
-    /// arrival order as tie-breaker).
+    /// arrival order as tie-breaker). This bounds a claim, not the bytes
+    /// a card holds: a card computes its flush in runs of as many jobs as
+    /// its engine computes at once, and answers each run (dropping its
+    /// operands and handing off its products) before the next starts.
     pub max_batch: usize,
     /// Bytes of prepared handles retained **per card** between flushes,
     /// digest-keyed and pinned together (least recently used evicted
@@ -39,10 +42,12 @@ pub struct ServeConfig {
     /// re-prepares the operands it actually reuses.
     pub idle_trim_after: Duration,
     /// How many times a failed job is re-queued before the fleet gives
-    /// up on it. A job in a **panicked** flush is re-queued to the
-    /// surviving cards (and isolated: it runs alone until it proves
-    /// innocent) until it has taken down `retry_limit + 1` flushes — then
-    /// it is quarantined with [`ServeError::Poisoned`](super::ServeError).
+    /// up on it. When a run of a flush **panics**, its jobs and those of
+    /// every later run of that flush are re-queued to the surviving cards
+    /// (and isolated: each runs alone until it proves innocent) — the
+    /// earlier runs' jobs are already answered — until a job has taken
+    /// down `retry_limit + 1` flushes; then it is quarantined with
+    /// [`ServeError::Poisoned`](super::ServeError).
     /// A job failing with a *transient* device fault
     /// ([`crate::MultiplyError::Device`]) is re-queued the same number of
     /// times before its error is delivered. Retries honor the job's

@@ -12,7 +12,10 @@
 //!   one) and the bounded queue they share. A free card claims whatever
 //!   is pending the moment anything is — up to [`ServeConfig::max_batch`]
 //!   jobs, earliest deadlines first — so micro-batches form only from
-//!   what queued while every card was busy. A job whose deadline passes
+//!   what queued while every card was busy. A card computes its flush in
+//!   runs of as many jobs as its engine computes at once and answers each
+//!   run the moment it is done, so it holds one run's operands and
+//!   products, never the whole flush's. A job whose deadline passes
 //!   before execution is answered [`ServeError::Expired`] instead of
 //!   being run.
 //! * **One way in.** Everything that accepts jobs is a [`Submitter`] —
@@ -43,7 +46,8 @@
 //!   their transform geometry matches.
 //!
 //! The fleet is **self-healing**: every flush runs under panic
-//! containment, its jobs are re-queued to surviving cards (up to
+//! containment, a panic re-queues the jobs it left unanswered to
+//! surviving cards (up to
 //! [`ServeConfig::retry_limit`], within their deadline budget), transient
 //! [`MultiplyError::Device`](crate::MultiplyError::Device) faults are
 //! retried the same way, and a job that keeps killing flushes is

@@ -138,8 +138,8 @@ impl ServerPool {
         }
     }
 
-    /// A live snapshot of the fleet's counters (refreshed at every flush
-    /// boundary), without stopping anything.
+    /// A live snapshot of the fleet's counters (refreshed before every
+    /// delivery), without stopping anything.
     pub fn stats(&self) -> PoolStats {
         let per_worker = self
             .shared

@@ -17,29 +17,40 @@ use super::config::{CardHealth, ServeConfig, ServeStats};
 
 /// One side of a product request: an inline operand, or a reference to
 /// an operand a session registered (pinned in every card's cache by id —
-/// resolved without hashing the operand's data).
+/// resolved without hashing the operand's data). Both sides hold their
+/// operand in one shared allocation, so a card that caches it keeps the
+/// request's own bytes instead of a copy.
 #[derive(Debug, Clone)]
 pub(super) enum Operand {
-    Inline(UBig),
+    Inline(Arc<UBig>),
     Pinned { id: u64, value: Arc<UBig> },
 }
 
 impl Operand {
     pub(super) fn value(&self) -> &UBig {
         match self {
-            Operand::Inline(value) => value,
-            Operand::Pinned { value, .. } => value,
+            Operand::Inline(value) | Operand::Pinned { value, .. } => value,
         }
     }
 
-    /// The operand as a cache entry holds it: a pin shares the
-    /// registered allocation, an inline operand is copied.
+    /// The operand as a cache entry holds it: the request's own
+    /// allocation, never a copy.
     pub(super) fn shared(&self) -> Arc<UBig> {
         match self {
-            Operand::Inline(value) => Arc::new(value.clone()),
-            Operand::Pinned { value, .. } => Arc::clone(value),
+            Operand::Inline(value) | Operand::Pinned { value, .. } => Arc::clone(value),
         }
     }
+}
+
+/// `value` in an allocation exactly as large as its limbs — the bytes a
+/// cache entry is charged for. A decoded operand can carry spare
+/// capacity (its trailing zero bytes trimmed off after the limbs were
+/// reserved), which a cache sharing the allocation would otherwise keep
+/// resident uncharged.
+pub(super) fn held(value: UBig) -> Arc<UBig> {
+    let mut limbs = value.into_limbs();
+    limbs.shrink_to_fit();
+    Arc::new(UBig::from_limbs(limbs))
 }
 
 /// One product job: two owned operands and an optional deadline.
@@ -51,11 +62,13 @@ pub struct ProductRequest {
 }
 
 impl ProductRequest {
-    /// A request to multiply `a · b` with no deadline.
+    /// A request to multiply `a · b` with no deadline. The operands are
+    /// moved in, not copied (an allocation larger than its value is
+    /// trimmed to fit).
     pub fn new(a: UBig, b: UBig) -> ProductRequest {
         ProductRequest {
-            a: Operand::Inline(a),
-            b: Operand::Inline(b),
+            a: Operand::Inline(held(a)),
+            b: Operand::Inline(held(b)),
             deadline: None,
         }
     }
@@ -106,7 +119,7 @@ impl ProductRequest {
     pub fn pinned_with(id: u64, value: Arc<UBig>, fresh: UBig) -> ProductRequest {
         ProductRequest {
             a: Operand::Pinned { id, value },
-            b: Operand::Inline(fresh),
+            b: Operand::Inline(held(fresh)),
             deadline: None,
         }
     }
@@ -166,7 +179,7 @@ pub(super) struct PoolShared {
     /// Cards still running; the last one to exit (panic included) closes
     /// the queue so submitters cannot block on a dead fleet.
     pub(super) workers_alive: AtomicUsize,
-    /// Per-card stats snapshots, refreshed at every flush boundary so a
+    /// Per-card stats snapshots, refreshed before every delivery so a
     /// live fleet can be observed.
     pub(super) live: Vec<Mutex<ServeStats>>,
     /// Inline digests the cards sighted lately, fleet-wide: what
@@ -523,5 +536,26 @@ mod tests {
         assert_eq!(pair.operand_pins(), (Some(1), Some(2)));
         let inline = ProductRequest::new(UBig::from(1u64), UBig::from(2u64));
         assert_eq!(inline.operand_pins(), (None, None));
+        // Pinned or inline, a cache entry takes the request's own
+        // allocation, never a copy of it.
+        for side in [&request.a, &request.b, &inline.a, &inline.b] {
+            assert!(std::ptr::eq(&*side.shared(), side.value()));
+        }
+    }
+
+    #[test]
+    fn a_padded_operand_is_held_at_its_value_size() {
+        // Eight significant bytes behind a megabyte of zero padding, as
+        // a frame decoder hands them over: the limbs were reserved for
+        // the padding too.
+        let mut bytes = vec![0u8; 1 << 20];
+        bytes[..8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let padded = UBig::from_le_bytes(&bytes);
+        assert_eq!(padded.as_limbs().len(), 1);
+        let request = ProductRequest::new(padded, UBig::from(3u64));
+        let shared = request.a.shared();
+        drop(request);
+        let limbs = Arc::try_unwrap(shared).expect("sole owner").into_limbs();
+        assert_eq!(limbs.capacity(), limbs.len());
     }
 }

@@ -13,7 +13,7 @@ use he_ntt::par::lock_or_recover;
 use super::cache::Key;
 use super::completion::{CompletionSink, ProductTicket, SubmitError, Submitter};
 use super::pool::ServerPool;
-use super::queue::{PoolShared, ProductRequest};
+use super::queue::{held, PoolShared, ProductRequest};
 
 /// A per-client handle over a serving fleet: register a recurring
 /// operand **once**, then stream products against it by name.
@@ -83,7 +83,7 @@ impl ClientSession {
     /// operand (the old pin ages out of every card's cache).
     pub fn register(&mut self, name: impl Into<String>, operand: UBig) {
         let id = self.shared.pin_seq.fetch_add(1, Ordering::Relaxed);
-        let operand = Arc::new(operand);
+        let operand = held(operand);
         let replaced = self.names.insert(name.into(), (id, Arc::clone(&operand)));
         // The registry backs pin *replay* on restarted cards; a replaced
         // registration must not be replayed forever.

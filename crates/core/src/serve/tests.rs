@@ -314,8 +314,8 @@ fn live_stats_observe_a_running_pool() {
     for (k, ticket) in (1..=6u64).zip(tickets) {
         assert_eq!(ticket.wait().unwrap(), UBig::from(k * k));
     }
-    // All tickets answered, so the flush-boundary snapshots must have
-    // caught up with every completion.
+    // All tickets answered, so the snapshots published before each
+    // delivery must have caught up with every completion.
     let live = pool.stats();
     assert_eq!(live.total().completed, 6);
     let stats = pool.shutdown();
@@ -436,7 +436,7 @@ fn exhausted_retry_budget_surfaces_the_device_error() {
 
 #[test]
 fn supervised_card_restarts_after_a_panic() {
-    // The factory's first build dies on every flush; rebuilds are
+    // The factory's first build dies on every batch call; rebuilds are
     // clean — so the in-flight jobs must come back via retry and the
     // card must finish Live.
     let builds = Arc::new(AtomicU64::new(0));

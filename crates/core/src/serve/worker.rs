@@ -1,6 +1,8 @@
 //! One card of the fleet: claim whatever is pending the moment the card
-//! is free, resolve its operands against the card's cache, run it under
-//! panic containment, answer every job.
+//! is free, resolve its operands against the card's cache, then run it
+//! under panic containment in runs of as many jobs as the card's engine
+//! computes at once, answering each run before the next starts — a card
+//! holds one run's operands and products, not its whole flush's.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -21,8 +23,8 @@ use crate::multiplier::{Multiplier, MultiplyError};
 /// The engine builder a supervised pool rebuilds panicked cards from.
 pub(super) type CardFactory<M> = Arc<dyn Fn(usize) -> EvalEngine<M> + Send + Sync>;
 
-/// One buffered answer: the job's sink and its outcome (flushes deliver
-/// these only after publishing their stats).
+/// One answer awaiting delivery: the job's sink and its outcome (a card
+/// delivers these only after publishing its stats).
 type Reply = (CompletionSink, Result<UBig, ServeError>);
 
 /// The cache keys of one job's two operands, resolved once in phase 1 of
@@ -201,16 +203,19 @@ impl<M: Multiplier + Sync> CardWorker<M> {
     }
 
     /// Runs one claimed micro-batch end to end, with every engine call
-    /// supervised by `catch_unwind`. Returns `false` when the backend
-    /// panicked — the jobs that were in flight have been re-queued (or
-    /// quarantined) and the caller must restart or retire this card.
+    /// supervised by `catch_unwind`; each run of phase 2 is answered as
+    /// soon as it is done. Returns `false` when the backend panicked —
+    /// the jobs not yet answered have been re-queued (or quarantined) and
+    /// the caller must restart or retire this card.
     fn flush(&mut self, batch: Vec<Submitted>) -> bool {
         self.stats.flushes += 1;
         self.stats.largest_flush = self.stats.largest_flush.max(batch.len());
-        // Replies are buffered and sent only after this card's stats are
-        // published: a caller that just saw its job answered must find
-        // the completion already reflected in the pool's live stats.
-        let mut replies: Vec<Reply> = Vec::with_capacity(batch.len());
+        // Answers wait here for the next delivery, which publishes this
+        // card's stats first: a caller that just saw its job answered
+        // must find the completion already reflected in the pool's live
+        // stats. Phase 2 delivers after every run; what is left goes out
+        // at the end of the flush.
+        let mut replies: Vec<Reply> = Vec::new();
         // Cancelled jobs are dropped at claim time — no work; the dropped
         // sink tells whoever still listens `Closed`. Then expire jobs
         // whose deadline had already passed when this card dequeued them
@@ -276,14 +281,18 @@ impl<M: Multiplier + Sync> CardWorker<M> {
             // registry on restart.
             self.cache.clear();
         }
-        // Publish this flush's counters, then deliver — in that order,
-        // so the live stats never lag a completion the caller already
-        // collected.
+        self.deliver(&mut replies);
+        survived
+    }
+
+    /// Publishes this card's counters, then answers every reply waiting
+    /// — in that order, so the live stats never lag a completion the
+    /// caller already collected.
+    fn deliver(&self, replies: &mut Vec<Reply>) {
         self.publish();
-        for (reply, outcome) in replies {
+        for (reply, outcome) in replies.drain(..) {
             reply.complete(outcome);
         }
-        survived
     }
 
     fn expire_in_flush(
@@ -388,11 +397,38 @@ impl<M: Multiplier + Sync> CardWorker<M> {
         }
     }
 
-    /// Phase 2 of a flush: assemble the batch on the cached handles and
-    /// run it as one unit, with panic containment and per-job error
-    /// isolation. Returns `false` when the engine panicked (the
-    /// unanswered jobs have been re-queued or quarantined).
-    fn execute(&mut self, run: Vec<(Submitted, JobKeys)>, replies: &mut Vec<Reply>) -> bool {
+    /// Phase 2 of a flush: the jobs go to the engine in consecutive runs
+    /// of as many as it computes at once (its width: `with_threads(n)`
+    /// gives n, automatic gives `he_ntt::par::thread_count()`), and after
+    /// each run the card delivers that run's answers and drops its
+    /// requests before the next run starts. Returns `false` when the
+    /// engine panicked: the panicking run's jobs and every later run's
+    /// have been re-queued or quarantined, while the earlier runs'
+    /// answers stand.
+    fn execute(&mut self, jobs: Vec<(Submitted, JobKeys)>, replies: &mut Vec<Reply>) -> bool {
+        let width = self.engine.width();
+        let mut jobs = jobs.into_iter();
+        let mut survived = true;
+        while survived {
+            let run: Vec<(Submitted, JobKeys)> = jobs.by_ref().take(width).collect();
+            if run.is_empty() {
+                break;
+            }
+            survived = self.execute_run(run, replies);
+            self.deliver(replies);
+        }
+        // The card died: whatever it had not started goes back as well.
+        for (job, _) in jobs {
+            self.requeue_or_quarantine(job, replies);
+        }
+        survived
+    }
+
+    /// One run of phase 2: assemble it on the cached handles and run it
+    /// as one unit, with panic containment and per-job error isolation.
+    /// Returns `false` when the engine panicked (the run's unanswered
+    /// jobs have been re-queued or quarantined).
+    fn execute_run(&mut self, run: Vec<(Submitted, JobKeys)>, replies: &mut Vec<Reply>) -> bool {
         let lookup = |side: &Operand, key: Option<Key>| -> Option<&OperandHandle> {
             self.cache.get(key?, side.value())
         };
@@ -415,12 +451,12 @@ impl<M: Multiplier + Sync> CardWorker<M> {
         let mut reruns = 0u64;
         let outcomes: Vec<Option<Result<UBig, MultiplyError>>> = match self.contained_run(&jobs) {
             Some(Ok(products)) => products.into_iter().map(|p| Some(Ok(p))).collect(),
-            // A single-job batch's error is already exact.
+            // A single-job run's error is already exact.
             Some(Err(err)) if jobs.len() == 1 => vec![Some(Err(err))],
-            // A batch reports only its lowest-index error; rerun each job
+            // A run reports only its lowest-index error; rerun each job
             // alone so one oversized product does not fail its
-            // batch-mates. Once the card dies mid-rerun, the rest of the
-            // batch goes straight back to the queue.
+            // run-mates. Once the card dies mid-rerun, the rest of the
+            // run goes straight back to the queue.
             Some(Err(_)) => {
                 let mut solo = Vec::with_capacity(jobs.len());
                 let mut alive = true;
@@ -486,11 +522,11 @@ impl<M: Multiplier + Sync> CardWorker<M> {
         self.retry(job, false, replies);
     }
 
-    /// A job whose flush panicked: back to the queue as a *suspect* (it
-    /// will be claimed alone, so a poisonous job cannot take batch-mates
-    /// down twice) — or, once it has taken down `retry_limit + 1`
-    /// flushes, quarantined with [`ServeError::Poisoned`] so it stops
-    /// killing cards.
+    /// A job whose run panicked, or that a panicked flush never started:
+    /// back to the queue as a *suspect* (it will be claimed alone, so a
+    /// poisonous job cannot take batch-mates down twice) — or, once it
+    /// has taken down `retry_limit + 1` flushes, quarantined with
+    /// [`ServeError::Poisoned`] so it stops killing cards.
     fn requeue_or_quarantine(&mut self, job: Submitted, replies: &mut Vec<Reply>) {
         if job.reply.is_cancelled() {
             self.stats.cancelled += 1;
@@ -599,6 +635,8 @@ mod tests {
     use super::super::queue::ProductRequest;
     use super::*;
     use crate::multiplier::SsaSoftware;
+    use std::sync::atomic::AtomicU64;
+    use std::sync::Mutex;
 
     fn engine() -> EvalEngine<SsaSoftware> {
         EvalEngine::new(SsaSoftware::for_operand_bits(2_000).unwrap())
@@ -608,19 +646,19 @@ mod tests {
     /// then `flush_pending` — no worker thread, no timing. Whatever was
     /// submitted before a `flush_pending` is what queued while the card
     /// was busy, so it flushes together.
-    fn card_with(config: ServeConfig) -> CardWorker<SsaSoftware> {
+    fn card_of<M: Multiplier + Sync>(engine: EvalEngine<M>, config: ServeConfig) -> CardWorker<M> {
         let shared = Arc::new(PoolShared::new(config, 1));
-        CardWorker::new(0, engine(), shared, None)
+        CardWorker::new(0, engine, shared, None)
     }
 
     fn card() -> CardWorker<SsaSoftware> {
-        card_with(ServeConfig::default())
+        card_of(engine(), ServeConfig::default())
     }
 
     /// Enqueues `requests`, tagged by position; each job's cancel handle
     /// comes back with the receiver its outcome will arrive on.
-    fn submit_all(
-        card: &CardWorker<SsaSoftware>,
+    fn submit_all<M>(
+        card: &CardWorker<M>,
         requests: Vec<ProductRequest>,
     ) -> (Vec<CancelHandle>, CompletionReceiver) {
         let (mint, receiver) = completion_channel();
@@ -637,7 +675,7 @@ mod tests {
         (cancels, receiver)
     }
 
-    fn submit(card: &CardWorker<SsaSoftware>, pairs: &[(u64, u64)]) -> CompletionReceiver {
+    fn submit<M>(card: &CardWorker<M>, pairs: &[(u64, u64)]) -> CompletionReceiver {
         let requests = pairs
             .iter()
             .map(|&(a, b)| ProductRequest::new(UBig::from(a), UBig::from(b)))
@@ -645,11 +683,17 @@ mod tests {
         submit_all(card, requests).1
     }
 
-    fn flush_pending(card: &mut CardWorker<SsaSoftware>) {
+    /// Claims what is pending and flushes it; returns whether the card
+    /// survived.
+    fn try_flush_pending<M: Multiplier + Sync>(card: &mut CardWorker<M>) -> bool {
         let Claim::Batch(batch) = card.claim() else {
             panic!("jobs are pending");
         };
-        assert!(card.flush(batch));
+        card.flush(batch)
+    }
+
+    fn flush_pending<M: Multiplier + Sync>(card: &mut CardWorker<M>) {
+        assert!(try_flush_pending(card));
     }
 
     /// Every outcome the receiver will ever see, by tag.
@@ -752,13 +796,9 @@ mod tests {
     #[test]
     fn an_oversized_job_fails_alone_in_its_flush() {
         // Cache off so the oversized operands reach the multiply path
-        // (prepare would already reject them) — exercising the per-job
-        // isolation rerun.
-        let config = ServeConfig {
-            cache_bytes: 0,
-            ..ServeConfig::default()
-        };
-        let mut card = card_with(config);
+        // (prepare would already reject them), and a width of two so both
+        // jobs share one run — exercising the per-job isolation rerun.
+        let mut card = card_of(engine().with_threads(2), uncached());
         let too_big = UBig::pow2(100_000);
         let bad = ProductRequest::new(too_big.clone(), too_big);
         let good = ProductRequest::new(UBig::from(6u64), UBig::from(7u64));
@@ -770,5 +810,166 @@ mod tests {
         let stats = card.stats;
         assert_eq!((stats.flushes, stats.failed, stats.completed), (1, 1, 1));
         assert_eq!(stats.reruns, 2);
+    }
+
+    /// Every outcome `receiver` holds right now, in delivery order.
+    fn delivered(receiver: &CompletionReceiver) -> Vec<(u64, Result<UBig, ServeError>)> {
+        std::iter::from_fn(|| receiver.try_recv()).collect()
+    }
+
+    /// Cache off, so every job reaches the backend's job body raw.
+    fn uncached() -> ServeConfig {
+        ServeConfig {
+            cache_bytes: 0,
+            ..ServeConfig::default()
+        }
+    }
+
+    /// Watches its card's deliveries: as each product starts, it records
+    /// which jobs the card has answered so far.
+    struct DeliveryWatch {
+        inner: SsaSoftware,
+        receiver: Mutex<Option<CompletionReceiver>>,
+        answered: Mutex<Vec<(u64, Result<UBig, ServeError>)>>,
+        /// Per product, in start order: the tags answered before it
+        /// started.
+        answered_at_start: Mutex<Vec<Vec<u64>>>,
+    }
+
+    impl Multiplier for DeliveryWatch {
+        fn multiply(&self, a: &UBig, b: &UBig) -> Result<UBig, MultiplyError> {
+            self.inner.multiply(a, b)
+        }
+
+        fn name(&self) -> &'static str {
+            "delivery-watch"
+        }
+
+        fn multiply_job_into(
+            &self,
+            job: &ProductJob<'_>,
+            out: &mut UBig,
+        ) -> Result<(), MultiplyError> {
+            let mut answered = self.answered.lock().unwrap();
+            if let Some(receiver) = &*self.receiver.lock().unwrap() {
+                answered.extend(delivered(receiver));
+            }
+            let mut tags: Vec<u64> = answered.iter().map(|(tag, _)| *tag).collect();
+            tags.sort_unstable();
+            self.answered_at_start.lock().unwrap().push(tags);
+            self.inner.multiply_job_into(job, out)
+        }
+    }
+
+    #[test]
+    fn a_width_one_card_answers_each_product_before_it_starts_the_next() {
+        let watch = DeliveryWatch {
+            inner: SsaSoftware::for_operand_bits(2_000).unwrap(),
+            receiver: Mutex::new(None),
+            answered: Mutex::new(Vec::new()),
+            answered_at_start: Mutex::new(Vec::new()),
+        };
+        let mut card = card_of(EvalEngine::new(watch).with_threads(1), uncached());
+        let pairs: Vec<(u64, u64)> = (2..8).map(|k| (k, 1_000_003)).collect();
+        let receiver = submit(&card, &pairs);
+        *card.engine.backend().receiver.lock().unwrap() = Some(receiver);
+        flush_pending(&mut card);
+        assert_eq!((card.stats.flushes, card.stats.completed), (1, 6));
+        let watch = card.engine.backend();
+        // One flush, six runs of one: product `i` started with exactly the
+        // `i` jobs before it answered, so the card never held two
+        // unanswered products.
+        let expected: Vec<Vec<u64>> = (0..pairs.len() as u64).map(|i| (0..i).collect()).collect();
+        assert_eq!(*watch.answered_at_start.lock().unwrap(), expected);
+        let mut answered = watch.answered.lock().unwrap();
+        answered.extend(delivered(watch.receiver.lock().unwrap().as_ref().unwrap()));
+        assert_eq!(answered.len(), pairs.len(), "one completion per job");
+        for (tag, outcome) in answered.iter() {
+            let (a, b) = pairs[*tag as usize];
+            assert_eq!(*outcome, Ok(UBig::from(a) * UBig::from(b)));
+        }
+    }
+
+    /// Panics on the `dies_at`-th product it starts (counted from 0), and
+    /// only then.
+    struct DiesOnce {
+        inner: SsaSoftware,
+        dies_at: u64,
+        started: AtomicU64,
+    }
+
+    impl Multiplier for DiesOnce {
+        fn multiply(&self, a: &UBig, b: &UBig) -> Result<UBig, MultiplyError> {
+            self.inner.multiply(a, b)
+        }
+
+        fn name(&self) -> &'static str {
+            "dies-once"
+        }
+
+        fn multiply_job_into(
+            &self,
+            job: &ProductJob<'_>,
+            out: &mut UBig,
+        ) -> Result<(), MultiplyError> {
+            let started = self.started.fetch_add(1, Ordering::Relaxed);
+            assert_ne!(started, self.dies_at, "injected death");
+            self.inner.multiply_job_into(job, out)
+        }
+    }
+
+    #[test]
+    fn a_panic_mid_flush_keeps_the_answered_runs_and_requeues_the_rest() {
+        let (n, k) = (6u64, 2u64);
+        let backend = DiesOnce {
+            inner: SsaSoftware::for_operand_bits(2_000).unwrap(),
+            dies_at: k,
+            started: AtomicU64::new(0),
+        };
+        let mut card = card_of(EvalEngine::new(backend).with_threads(1), uncached());
+        let pairs: Vec<(u64, u64)> = (0..n).map(|i| (i + 2, 1_000_003)).collect();
+        let receiver = submit(&card, &pairs);
+        let product = |tag: u64| {
+            let (a, b) = pairs[tag as usize];
+            Ok(UBig::from(a) * UBig::from(b))
+        };
+        assert!(!try_flush_pending(&mut card), "job {k} killed the card");
+        // The runs before the panic were answered, once each, correctly…
+        let early = delivered(&receiver);
+        assert_eq!(
+            early.iter().map(|(tag, _)| *tag).collect::<Vec<_>>(),
+            (0..k).collect::<Vec<_>>()
+        );
+        for (tag, outcome) in &early {
+            assert_eq!(*outcome, product(*tag));
+        }
+        // …and the panicking run and every later one went back to the
+        // queue as suspects, one retry each.
+        assert_eq!((card.stats.completed, card.stats.retried), (k, n - k));
+        {
+            let state = card.shared.lock_state();
+            let requeued: Vec<u64> = state.pending.iter().map(|job| job.seq).collect();
+            assert_eq!(requeued, (k..n).collect::<Vec<_>>());
+            assert!(state
+                .pending
+                .iter()
+                .all(|job| job.suspect && job.retries == 1));
+        }
+        // Suspects are claimed one at a time, and the card no longer dies.
+        for _ in k..n {
+            flush_pending(&mut card);
+        }
+        let late = delivered(&receiver);
+        assert_eq!(
+            late.iter().map(|(tag, _)| *tag).collect::<Vec<_>>(),
+            (k..n).collect::<Vec<_>>()
+        );
+        for (tag, outcome) in &late {
+            assert_eq!(*outcome, product(*tag));
+        }
+        // Every sink has resolved, so none can resolve again: with the
+        // card gone the channel is finished and empty.
+        drop(card);
+        assert!(receiver.recv().is_none());
     }
 }

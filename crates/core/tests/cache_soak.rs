@@ -6,8 +6,12 @@
 //! means the one-shot operands never earn a slot, so (a) what stays
 //! resident once the flood has drained fits the configured budget, and
 //! (b) the peak while it runs is the in-flight window's own operands and
-//! products plus that budget — it no longer carries a 608 KiB entry per
-//! job in the flush (32 × 608 KiB = 19 MiB) on top.
+//! products plus that budget — it carries no 608 KiB entry per job in
+//! the flush (32 × 608 KiB = 19 MiB) on top. The card answers each
+//! product the moment its run ends, so a product is the client's to hold
+//! or drop as soon as it exists; the bound charges every job of the
+//! window for its product all the same, so it holds however the client
+//! and the card interleave.
 //!
 //! A wrapping global allocator tracks live heap bytes process-wide; this
 //! file is its own test binary with one `#[test]`, so nothing else
@@ -83,49 +87,65 @@ fn residue(x: &UBig) -> u128 {
         .fold(0, |r, &limb| ((r << 64) + u128::from(limb)) % P)
 }
 
-#[test]
-fn a_flood_of_fresh_operands_stays_inside_the_cache_budget() {
-    const P: u128 = (1 << 61) - 1;
-    let mut rng = StdRng::seed_from_u64(2016);
-    let bits = he_accel::ssa::PAPER_OPERAND_BITS;
-    let fixed = UBig::random_bits(&mut rng, bits);
-    let base = UBig::random_bits(&mut rng, bits - 1);
-    let fresh = |i: u64| &base + &UBig::from(i);
-    let pool = ServerPool::spawn(
+fn spawn() -> ServerPool {
+    ServerPool::spawn(
         vec![EvalEngine::new(SsaSoftware::paper())],
         ServeConfig {
             cache_bytes: BUDGET,
             ..ServeConfig::default()
         },
-    );
-    let mut queue: CompletionQueue<'_, ServerPool, u128> = CompletionQueue::new(&pool);
-    let mut run = |products: std::ops::Range<u64>| {
-        let mut served = 0;
-        let mut settle = |done: Completion<u128>| {
-            assert_eq!(residue(&done.result.expect("served")), done.tag);
-            served += 1;
-        };
-        for i in products {
-            if queue.in_flight() == WINDOW {
-                settle(queue.recv().expect("a product is in flight"));
-            }
-            let b = fresh(i);
-            let expect = residue(&fixed) * residue(&b) % P;
-            queue
-                .submit_tagged(ProductRequest::new(fixed.clone(), b), expect)
-                .map_err(|(error, _)| error)
-                .expect("pool alive");
-        }
-        queue.drain().into_iter().for_each(&mut settle);
-        served
+    )
+}
+
+/// Serves `lhs() · fresh(i)` for every `i` in `products`, `WINDOW` in
+/// flight, checking each product; returns how many were served.
+fn flood(
+    pool: &ServerPool,
+    lhs: impl Fn() -> UBig,
+    fresh: impl Fn(u64) -> UBig,
+    products: std::ops::Range<u64>,
+) -> usize {
+    const P: u128 = (1 << 61) - 1;
+    let mut queue: CompletionQueue<'_, ServerPool, u128> = CompletionQueue::new(pool);
+    let mut served = 0;
+    let mut settle = |done: Completion<u128>| {
+        assert_eq!(residue(&done.result.expect("served")), done.tag);
+        served += 1;
     };
+    for i in products {
+        if queue.in_flight() == WINDOW {
+            settle(queue.recv().expect("a product is in flight"));
+        }
+        let (a, b) = (lhs(), fresh(i));
+        let expect = residue(&a) * residue(&b) % P;
+        queue
+            .submit_tagged(ProductRequest::new(a, b), expect)
+            .map_err(|(error, _)| error)
+            .expect("pool alive");
+    }
+    queue.drain().into_iter().for_each(&mut settle);
+    served
+}
+
+#[test]
+fn a_flood_of_fresh_operands_stays_inside_the_cache_budget() {
+    let mut rng = StdRng::seed_from_u64(2016);
+    let bits = he_accel::ssa::PAPER_OPERAND_BITS;
+    let fixed = UBig::random_bits(&mut rng, bits);
+    let base = UBig::random_bits(&mut rng, bits - 1);
+    let fresh = |i: u64| &base + &UBig::from(i);
+    let pool = spawn();
+    let recurring = || fixed.clone();
     // Warm-up: the transform tables and scratch units exist, and the
     // recurring operand has been sighted twice, before anything is
     // measured.
-    assert_eq!(run(0..4), 4);
+    assert_eq!(flood(&pool, recurring, fresh, 0..4), 4);
     let baseline = LIVE.load(Ordering::Relaxed);
     PEAK.store(baseline, Ordering::Relaxed);
-    assert_eq!(run(4..4 + 2 * WINDOW as u64), 2 * WINDOW);
+    assert_eq!(
+        flood(&pool, recurring, fresh, 4..4 + 2 * WINDOW as u64),
+        2 * WINDOW
+    );
     let settled = LIVE.load(Ordering::Relaxed).saturating_sub(baseline);
     let peak = PEAK.load(Ordering::Relaxed).saturating_sub(baseline);
     // Drained: whatever the flood left behind is the cache's to answer
@@ -149,4 +169,27 @@ fn a_flood_of_fresh_operands_stays_inside_the_cache_budget() {
     // one hit from its third sighting on.
     assert_eq!(stats.cache_hits + stats.cache_misses, 2 * stats.completed);
     assert!(stats.cache_hits >= stats.completed - 2, "{stats:?}");
+
+    // A recurring operand decoded from bytes padded with zeros: its
+    // limbs were reserved for the padding. The entry it earns holds the
+    // value's bytes, not the padding's.
+    let pool = spawn();
+    assert_eq!(flood(&pool, recurring, fresh, 0..4), 4);
+    let baseline = LIVE.load(Ordering::Relaxed);
+    let other = UBig::random_bits(&mut rng, bits);
+    let padded = || {
+        let mut bytes = other.to_le_bytes();
+        bytes.resize(bytes.len() + 4 * MIB, 0);
+        UBig::from_le_bytes(&bytes)
+    };
+    assert_eq!(flood(&pool, padded, fresh, 4..4 + WINDOW as u64), WINDOW);
+    let settled = LIVE.load(Ordering::Relaxed).saturating_sub(baseline);
+    assert!(
+        settled <= ENTRY + SLACK,
+        "{} KiB stayed resident after the padded operand was admitted",
+        settled / KIB
+    );
+    let stats = pool.shutdown().total();
+    // Both recurring operands earned their entries and hit from then on.
+    assert!(stats.cache_hits >= stats.completed - 4, "{stats:?}");
 }

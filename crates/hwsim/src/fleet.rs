@@ -17,12 +17,13 @@
 //!   soon as anything is pending (`he_accel::serve` claims likewise), and
 //!   the report attributes every missed deadline to **queueing** (the
 //!   job was already late when a card claimed it) or to **compute** (its
-//!   own flush ran past the deadline) — the same split
+//!   product left the card's pipeline past the deadline) — the same split
 //!   `he_accel::serve::ServeStats` records for the software fleet;
 //! * [`FleetModel::simulate_with_outages`] — the same simulation over a
 //!   **degraded fleet**: [`FleetOutage`] windows kill a card mid-flush
-//!   (the lost flush's jobs return to the shared queue,
-//!   [`FleetReport::retried`]) and repair it later — the cycle-level
+//!   (the products that already left its pipeline stay answered, the
+//!   rest return to the shared queue, [`FleetReport::retried`]) and
+//!   repair it later — the cycle-level
 //!   counterpart of the software fleet's supervised restart and
 //!   retry-with-failover (`he_accel::serve`), so the EDF-vs-FIFO and
 //!   expiry-attribution stories extend to fleets losing cards;
@@ -97,8 +98,9 @@ impl FleetJob {
 }
 
 /// A card outage window for [`FleetModel::simulate_with_outages`]: the
-/// card dies at `fail_cycle` (killing any flush in progress — its jobs go
-/// back to the shared queue) and rejoins the fleet at `repair_cycle` —
+/// card dies at `fail_cycle` (killing any flush in progress — its jobs
+/// not yet out of the pipeline go back to the shared queue) and rejoins
+/// the fleet at `repair_cycle` —
 /// the cycle-level counterpart of the software fleet's supervised
 /// restart (`he_accel::serve::ServerPool::with_backend_factory`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,16 +141,16 @@ pub struct FleetReport {
     /// the miss is attributable to queueing (arrival rate vs fleet
     /// capacity).
     pub expired_in_queue: u64,
-    /// Jobs claimed in time whose own flush ran past the deadline — the
-    /// miss is attributable to compute.
+    /// Jobs claimed in time whose product left the pipeline past the
+    /// deadline — the miss is attributable to compute.
     pub expired_in_flush: u64,
     /// Micro-batches dispatched.
     pub flushes: u64,
     /// Jobs returned to the queue because a [`FleetOutage`] killed their
-    /// flush mid-run — the cycle-level counterpart of
-    /// `he_accel::serve::ServeStats::retried`.
+    /// flush before they left the pipeline — the cycle-level counterpart
+    /// of `he_accel::serve::ServeStats::retried`.
     pub retried: u64,
-    /// Cycle the last flush finished.
+    /// Cycle the last product left a card.
     pub makespan_cycles: u64,
 }
 
@@ -329,8 +331,9 @@ impl FleetModel {
     /// free and jobs are pending, it claims up to `batch` of them under
     /// `policy`, expires the ones whose deadline already passed
     /// ([`FleetReport::expired_in_queue`]), and runs the rest as one
-    /// flush of [`FleetModel::flush_cycles`]. A claimed job whose
-    /// deadline falls before its flush completes is attributed to
+    /// flush of [`FleetModel::flush_cycles`], product `i` leaving the
+    /// pipeline at `now + flush_cycles(i + 1, fresh)`. A claimed job
+    /// whose deadline falls before its product leaves is attributed to
     /// compute ([`FleetReport::expired_in_flush`]). Deterministic: ties
     /// between idle cards break by card index.
     ///
@@ -348,10 +351,14 @@ impl FleetModel {
     }
 
     /// [`FleetModel::simulate`] over a **degraded fleet**: each
-    /// [`FleetOutage`] kills its card at `fail_cycle` — a flush in
-    /// progress there is lost, its jobs return to the shared queue
-    /// ([`FleetReport::retried`]) for the survivors (or the repaired card)
-    /// to re-claim — and the card rejoins at `repair_cycle`. With an empty
+    /// [`FleetOutage`] kills its card at `fail_cycle`, and the card
+    /// rejoins at `repair_cycle`. Product `i` of a flush leaves the
+    /// pipeline at `now + flush_cycles(i + 1, fresh)`, so a flush in
+    /// progress at `fail_cycle` keeps the products finished by then —
+    /// each completed, or [`FleetReport::expired_in_flush`] if its
+    /// deadline passed before its own completion cycle — and only the
+    /// rest return to the shared queue ([`FleetReport::retried`]) for the
+    /// survivors (or the repaired card) to re-claim. With an empty
     /// outage list this is exactly `simulate`. Every job still resolves:
     /// `completed + expired` always totals the trace.
     ///
@@ -448,28 +455,38 @@ impl FleetModel {
             }
             report.flushes += 1;
             let done = now + self.flush_cycles(live.len(), fresh);
-            // A card that dies mid-flush loses the whole flush: its jobs
-            // go back to the shared queue (arrival order restored) and
-            // the card is busy until repaired. An outage never kills
-            // twice — the card resumes past its own fail cycle.
-            if let Some(outage) = outages
+            // A card that dies mid-flush keeps the products already out
+            // of its pipeline; the rest go back to the shared queue
+            // (arrival order restored) and the card is busy until
+            // repaired. An outage never kills twice — the card resumes
+            // past its own fail cycle.
+            let outage = outages
                 .iter()
-                .find(|o| o.card == card && now <= o.fail_cycle && o.fail_cycle < done)
-            {
-                report.retried += live.len() as u64;
-                pending.extend(live);
-                pending.sort_by_key(|&i| (jobs[i].arrival_cycle, i));
-                cards[card] = outage.repair_cycle;
-                continue;
-            }
-            for i in live {
+                .find(|o| o.card == card && now <= o.fail_cycle && o.fail_cycle < done);
+            let mut lost = Vec::new();
+            // Every product, killed flush or not, is judged by the cycle
+            // it leaves the pipeline.
+            for (n, i) in (1..).zip(live) {
+                let left = now + self.flush_cycles(n, fresh);
+                if outage.is_some_and(|o| left > o.fail_cycle) {
+                    lost.push(i);
+                    continue;
+                }
                 match jobs[i].deadline_cycle {
-                    Some(deadline) if deadline < done => report.expired_in_flush += 1,
+                    Some(deadline) if deadline < left => report.expired_in_flush += 1,
                     _ => report.completed += 1,
                 }
+                report.makespan_cycles = report.makespan_cycles.max(left);
             }
-            cards[card] = done;
-            report.makespan_cycles = report.makespan_cycles.max(done);
+            cards[card] = match outage {
+                Some(outage) => {
+                    report.retried += lost.len() as u64;
+                    pending.extend(lost);
+                    pending.sort_by_key(|&i| (jobs[i].arrival_cycle, i));
+                    outage.repair_cycle
+                }
+                None => done,
+            };
         }
         report
     }
@@ -654,6 +671,127 @@ mod tests {
         assert_eq!(report.retried, 2);
         // One dead flush (repair at `flush`), then three clean ones.
         assert_eq!(report.makespan_cycles, flush + 3 * flush);
+    }
+
+    #[test]
+    fn an_outage_mid_flush_keeps_the_products_already_out() {
+        let fleet = FleetModel::paper(1);
+        let first = fleet.flush_cycles(1, 1);
+        let second = fleet.flush_cycles(2, 1);
+        // Four jobs in one flush; the second product's deadline falls
+        // between the first product's exit and its own.
+        let mut jobs: Vec<FleetJob> = (0..4).map(|_| FleetJob::at(0)).collect();
+        jobs[1] = jobs[1].with_deadline(first);
+        // The card dies the cycle the second product leaves, and is back
+        // once the first flush would have ended.
+        let outage = FleetOutage::new(0, second, fleet.flush_cycles(4, 1));
+        let report = fleet.simulate_with_outages(&jobs, 4, 1, FleetPolicy::Fifo, &[outage]);
+        // The first two products were out: one in time, one past its
+        // deadline at its own exit. Only the last two go back.
+        assert_eq!(report.retried, 2);
+        assert_eq!(report.expired_in_flush, 1);
+        assert_eq!(report.completed, 3);
+        assert_eq!(report.flushes, 2);
+        assert_eq!(
+            report.makespan_cycles,
+            fleet.flush_cycles(4, 1) + fleet.flush_cycles(2, 1)
+        );
+        // One cycle earlier, the second product is lost with the rest —
+        // and, retried past its deadline, expires in the queue instead.
+        let outage = FleetOutage::new(0, second - 1, fleet.flush_cycles(4, 1));
+        let report = fleet.simulate_with_outages(&jobs, 4, 1, FleetPolicy::Fifo, &[outage]);
+        assert_eq!((report.retried, report.expired_in_queue), (3, 1));
+        assert_eq!(report.completed, 3);
+    }
+
+    #[test]
+    fn an_outage_never_turns_an_expiry_into_a_completion() {
+        let fleet = FleetModel::paper(1);
+        // One four-job flush whose first two products beat their shared
+        // deadline and whose last two miss it.
+        let deadline = fleet.flush_cycles(2, 1);
+        let jobs: Vec<FleetJob> = (0..4)
+            .map(|_| FleetJob::at(0).with_deadline(deadline))
+            .collect();
+        let healthy = fleet.simulate(&jobs, 4, 1, FleetPolicy::Fifo);
+        assert_eq!((healthy.completed, healthy.expired_in_flush), (2, 2));
+        // Kill the card at every product's exit and just before it: a
+        // kept product is judged as the healthy flush judges it, a lost
+        // one can only come back later.
+        let done = fleet.flush_cycles(4, 1);
+        for n in 1..=4 {
+            let exit = fleet.flush_cycles(n, 1);
+            for fail in [exit - 1, exit] {
+                let outage = FleetOutage::new(0, fail, 10 * done);
+                let degraded =
+                    fleet.simulate_with_outages(&jobs, 4, 1, FleetPolicy::Fifo, &[outage]);
+                assert!(degraded.completed <= healthy.completed, "fail at {fail}");
+                assert!(degraded.expired() >= healthy.expired(), "fail at {fail}");
+                assert_eq!(degraded.completed + degraded.expired(), 4);
+            }
+        }
+    }
+
+    #[test]
+    fn reports_without_outages_are_unchanged() {
+        // This module's traces, with the reports the model gave them
+        // when it judged a whole flush by its last cycle and an outage
+        // lost the whole flush: neither per-product exits nor a killed
+        // flush keeping its finished products moves these.
+        let report =
+            |completed, expired_in_queue, expired_in_flush, flushes, makespan_cycles| FleetReport {
+                completed,
+                expired_in_queue,
+                expired_in_flush,
+                flushes,
+                retried: 0,
+                makespan_cycles,
+            };
+        let (one, two) = (FleetModel::paper(1), FleetModel::paper(2));
+        let burst: Vec<FleetJob> = (0..8).map(|_| FleetJob::at(0)).collect();
+        let mut overload: Vec<FleetJob> = (0..8).map(|_| FleetJob::at(0)).collect();
+        let urgent = FleetJob::at(0).with_deadline(2 * one.flush_cycles(4, 1));
+        overload.extend([urgent; 8]);
+        let spread: Vec<FleetJob> = (0..16).map(|i| FleetJob::at(i * 100)).collect();
+        let paced: Vec<FleetJob> = (0..12).map(|i| FleetJob::at(i * 50)).collect();
+        let hopeless = [FleetJob::at(1000).with_deadline(10), FleetJob::at(0)];
+        let cases = [
+            (
+                two.simulate(&burst, 2, 1, FleetPolicy::Fifo),
+                report(8, 0, 0, 4, 61_760),
+            ),
+            (
+                one.simulate(&overload, 4, 1, FleetPolicy::Fifo),
+                report(8, 4, 4, 3, 166_368),
+            ),
+            (
+                one.simulate(&overload, 4, 1, FleetPolicy::Edf),
+                report(16, 0, 0, 4, 221_824),
+            ),
+            (
+                one.simulate(&spread, 4, 1, FleetPolicy::Fifo),
+                report(16, 0, 0, 5, 228_128),
+            ),
+            (
+                two.simulate(&spread, 4, 1, FleetPolicy::Fifo),
+                report(16, 0, 0, 6, 129_504),
+            ),
+            (
+                FleetModel::paper(4).simulate(&spread, 4, 1, FleetPolicy::Fifo),
+                report(16, 0, 0, 7, 74_248),
+            ),
+            (
+                two.simulate(&paced, 3, 1, FleetPolicy::Edf),
+                report(12, 0, 0, 6, 104_928),
+            ),
+            (
+                one.simulate(&hopeless, 1, 2, FleetPolicy::Edf),
+                report(1, 1, 0, 1, 24_736),
+            ),
+        ];
+        for (at, (simulated, recorded)) in cases.into_iter().enumerate() {
+            assert_eq!(simulated, recorded, "trace {at}");
+        }
     }
 
     #[test]

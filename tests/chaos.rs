@@ -261,7 +261,9 @@ fn fleet_outlives_a_permanently_faulty_card() {
 /// The seeded storm of a periodically faulty card, on the only card of
 /// the fleet so the schedule is certain to fire: under this seed every
 /// life of the card (the counter restarts with each rebuild) returns a
-/// transient device error on its second flush and dies on its fifth.
+/// transient device error on its second batch call and dies on its
+/// fifth — a card makes one batch call per run of a flush, so a life
+/// answers at most three runs.
 fn storm_card(_card: usize) -> EvalEngine<FaultyMultiplier<SsaSoftware>> {
     EvalEngine::new(FaultyMultiplier::new(
         SsaSoftware::for_operand_bits(1_000).unwrap(),
