@@ -1,16 +1,18 @@
 //! The one operand cache: a keyed LRU under a single **byte** budget,
-//! and the recent-digest set that decides which inline operands earn a
-//! slot in it.
+//! and the fleet's table of recently sighted inline operands that
+//! decides which of them earn a slot in it — and holds each one once.
 //!
 //! Entries are keyed two ways — [`Key::Digest`] for inline operands (the
-//! 64-bit digest of the operand's data; a lookup is verified against the
-//! stored operand, so a digest collision can never serve the wrong
-//! value) and [`Key::Pin`] for session-registered operands (a pool-unique
-//! id, trusted as is and never hashed). Both kinds share one budget, an
-//! entry weighing its operand plus what its value keeps resident;
-//! eviction removes least-recently-used digest entries first and touches
-//! pins only when nothing else is left to give, in O(evicted). Admission
-//! is **second-sight** ([`RecentDigests::admits`]): one-shot operands
+//! 64-bit digest of the operand's data, taken once at admission; a
+//! lookup is verified against the stored operand, by pointer when the
+//! request shares the entry's allocation and by bytes otherwise, so a
+//! digest collision can never serve the wrong value) and [`Key::Pin`]
+//! for session-registered operands (a pool-unique id, trusted as is and
+//! never hashed). Both kinds share one budget, an entry weighing its
+//! operand plus what its value keeps resident; eviction removes
+//! least-recently-used digest entries first and touches pins only when
+//! nothing else is left to give, in O(evicted). Admission is
+//! **second-sight** ([`RecentOperands::sight`]): one-shot operands
 //! neither allocate a spectrum nor evict a recurring one; pins are
 //! inserted directly.
 //!
@@ -21,7 +23,7 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use he_bigint::UBig;
 
@@ -43,51 +45,85 @@ impl Key {
 }
 
 /// The cache key of an inline operand. At paper scale this hashes
-/// ~96 KiB, so callers compute it once per operand and carry the key.
+/// ~96 KiB, so admission computes it once per operand and the request
+/// carries it.
 pub(super) fn digest(operand: &UBig) -> u64 {
     #[cfg(test)]
-    tests::DIGEST_CALLS.with(|calls| calls.set(calls.get() + 1));
+    if let Some(forced) = tests::count_digest() {
+        return forced;
+    }
     let mut hasher = DefaultHasher::new();
     operand.hash(&mut hasher);
     hasher.finish()
 }
 
-/// Slots of a [`RecentDigests`] set.
-const RECENT_DIGESTS: usize = 4096;
+/// Whether an entry holding `held` under `key` answers for `operand`: a
+/// pin by its id alone, an inline operand by identity — interned
+/// operands share one allocation — or else by its bytes.
+pub(super) fn holds(key: Key, held: &UBig, operand: &UBig) -> bool {
+    key.is_pin() || std::ptr::eq(held, operand) || *held == *operand
+}
+
+/// Slots of a [`RecentOperands`] table.
+const RECENT_OPERANDS: usize = 4096;
+
+/// What the fleet's table made of one sighting of an inline operand.
+#[derive(Debug)]
+pub(super) enum Verdict {
+    /// A live operand with equal bytes is held already: use its
+    /// allocation, and the caller's duplicate can go.
+    Share(Arc<UBig>),
+    /// The digest was sighted before, but no live operand under it is
+    /// left to share.
+    Recurring,
+    /// Not sighted lately — or its digest is another live operand's.
+    FirstSight,
+}
 
 // lint: supervisor
 // (Cards call into the cache between flushes, outside `catch_unwind`,
-// with client reply sinks in hand: nothing here may panic.)
+// with client reply sinks in hand, and submitters sight operands in the
+// one enqueue path: nothing here may panic.)
 
-/// The digests the fleet's cards sighted lately: a fixed-size,
-/// direct-mapped, lossy set — a newer digest overwrites whichever older
-/// one shares its slot, so memory never grows and stale digests age out.
-pub(super) struct RecentDigests(Box<[Option<u64>]>);
+/// The inline operands the fleet sighted lately: a fixed-size,
+/// direct-mapped, lossy table of digests, each beside a weak handle on
+/// the operand last sighted under it — a newer digest overwrites
+/// whichever older one shares its slot, so memory never grows and stale
+/// digests age out, and a weak handle keeps no operand resident.
+pub(super) struct RecentOperands(Box<[Option<Sighting>]>);
 
-impl RecentDigests {
-    pub(super) fn new() -> RecentDigests {
-        RecentDigests(vec![None; RECENT_DIGESTS].into())
+/// A digest and the operand last sighted under it.
+type Sighting = (u64, Weak<UBig>);
+
+impl RecentOperands {
+    pub(super) fn new() -> RecentOperands {
+        RecentOperands(vec![None; RECENT_OPERANDS].into())
     }
 
     fn at(digest: u64) -> usize {
-        (digest % RECENT_DIGESTS as u64) as usize
+        (digest % RECENT_OPERANDS as u64) as usize
     }
 
-    /// Records a sighting; returns whether the digest was already there.
-    pub(super) fn sight(&mut self, digest: u64) -> bool {
-        let slot = self.0.get_mut(Self::at(digest));
-        slot.is_some_and(|slot| slot.replace(digest) == Some(digest))
-    }
-
-    /// Second-sight admission: whether an operand a flush did not find
-    /// cached earns a cache slot. A pin always does; an inline
-    /// operand does once its digest has been sighted before — earlier,
-    /// or again inside the same flush (`repeats`). Records the sighting.
-    pub(super) fn admits(&mut self, key: Key, repeats: bool) -> bool {
-        match key {
-            Key::Pin(_) => true,
-            Key::Digest(digest) => self.sight(digest) | repeats,
-        }
+    /// Records a sighting of `operand` under `digest` and judges it. An
+    /// operand shares only an allocation whose bytes it matches; an
+    /// unequal live operand under the same digest is a collision, and
+    /// the newcomer's sighting counts as its first.
+    pub(super) fn sight(&mut self, digest: u64, operand: &Arc<UBig>) -> Verdict {
+        let Some(slot) = self.0.get_mut(Self::at(digest)) else {
+            return Verdict::FirstSight;
+        };
+        let verdict = match slot {
+            Some((seen, held)) if *seen == digest => match held.upgrade() {
+                Some(held) if holds(Key::Digest(digest), &held, operand) => {
+                    return Verdict::Share(held)
+                }
+                Some(_) => Verdict::FirstSight,
+                None => Verdict::Recurring,
+            },
+            _ => Verdict::FirstSight,
+        };
+        *slot = Some((digest, Arc::downgrade(operand)));
+        verdict
     }
 }
 
@@ -96,17 +132,6 @@ struct Slot<V> {
     value: V,
     last_used: u64,
     bytes: usize,
-}
-
-impl<V> Slot<V> {
-    /// Whether this slot holds `operand`: a pin by its id alone, a digest
-    /// entry by identity — the slot shares the request's allocation when
-    /// that request's admission filled it — or else by its bytes.
-    fn answers(&self, key: Key, operand: &UBig) -> bool {
-        key.is_pin()
-            || std::ptr::eq(Arc::as_ptr(&self.operand), operand)
-            || *self.operand == *operand
-    }
 }
 
 /// A keyed LRU of `(operand, value)` entries (see the module docs).
@@ -156,10 +181,11 @@ impl<V> KeyedLru<V> {
     /// cached.
     pub(super) fn touch(&mut self, key: Key, operand: &UBig) -> bool {
         self.tick += 1;
-        let slot = self
-            .entries
-            .get_mut(&key)
-            .and_then(|chain| chain.iter_mut().find(|slot| slot.answers(key, operand)));
+        let slot = self.entries.get_mut(&key).and_then(|chain| {
+            chain
+                .iter_mut()
+                .find(|slot| holds(key, &slot.operand, operand))
+        });
         let Some(slot) = slot else {
             return false;
         };
@@ -173,14 +199,8 @@ impl<V> KeyedLru<V> {
     pub(super) fn get(&self, key: Key, operand: &UBig) -> Option<&V> {
         let mut chain = self.entries.get(&key)?.iter();
         chain
-            .find(|slot| slot.answers(key, operand))
+            .find(|slot| holds(key, &slot.operand, operand))
             .map(|slot| &slot.value)
-    }
-
-    /// Whether anything is cached under this key (the operand itself is
-    /// only verified by [`KeyedLru::get`] / [`KeyedLru::touch`]).
-    pub(super) fn contains_key(&self, key: Key) -> bool {
-        self.entries.contains_key(&key)
     }
 
     /// Inserts an entry as most recently used, replacing the entry `key`
@@ -218,7 +238,7 @@ impl<V> KeyedLru<V> {
 
     /// Removes and returns the entry `key` and `operand` resolve to.
     pub(super) fn remove(&mut self, key: Key, operand: &UBig) -> Option<(Arc<UBig>, V)> {
-        let slot = self.unlink(key, |slot| slot.answers(key, operand))?;
+        let slot = self.unlink(key, |slot| holds(key, &slot.operand, operand))?;
         Some((slot.operand, slot.value))
     }
 
@@ -265,12 +285,21 @@ pub(super) mod tests {
     use crate::engine::EvalEngine;
     use crate::multiplier::SsaSoftware;
     use proptest::prelude::*;
-    use std::collections::HashSet;
+    use std::cell::Cell;
 
     thread_local! {
         /// [`digest`] calls made on this thread.
-        pub(in crate::serve) static DIGEST_CALLS: std::cell::Cell<u64> =
-            const { std::cell::Cell::new(0) };
+        pub(in crate::serve) static DIGEST_CALLS: Cell<u64> = const { Cell::new(0) };
+        /// While set, what every [`digest`] call on this thread returns:
+        /// the seam that forces unequal operands onto one digest.
+        pub(in crate::serve) static FORCED_DIGEST: Cell<Option<u64>> = const { Cell::new(None) };
+    }
+
+    /// Counts a [`digest`] call on this thread; returns the forced
+    /// digest, if one is set.
+    pub(super) fn count_digest() -> Option<u64> {
+        DIGEST_CALLS.with(|calls| calls.set(calls.get() + 1));
+        FORCED_DIGEST.with(Cell::get)
     }
 
     impl<V> KeyedLru<V> {
@@ -332,15 +361,25 @@ pub(super) mod tests {
 
     #[test]
     fn the_recent_set_forgets_by_overwriting_never_by_growing() {
-        let mut recent = RecentDigests::new();
-        assert!(!recent.sight(5));
-        assert!(recent.sight(5));
+        let mut recent = RecentOperands::new();
+        let five = Arc::new(UBig::from(5u64));
+        assert!(matches!(recent.sight(5, &five), Verdict::FirstSight));
+        // A duplicate is handed the held allocation.
+        let duplicate = Arc::new(UBig::from(5u64));
+        match recent.sight(5, &duplicate) {
+            Verdict::Share(held) => assert!(Arc::ptr_eq(&held, &five)),
+            other => panic!("expected a share, got {other:?}"),
+        }
         // A digest sharing the slot takes it over; the older one is a
         // first sighting again.
-        let rival = 5 + RECENT_DIGESTS as u64;
-        assert!(!recent.sight(rival));
-        assert!(!recent.sight(5));
-        assert_eq!(recent.0.len(), RECENT_DIGESTS);
+        let rival = 5 + RECENT_OPERANDS as u64;
+        let six = Arc::new(UBig::from(6u64));
+        assert!(matches!(recent.sight(rival, &six), Verdict::FirstSight));
+        assert!(matches!(recent.sight(5, &five), Verdict::FirstSight));
+        // Once nothing holds the operand, its digest still recurs.
+        drop((five, duplicate));
+        assert!(matches!(recent.sight(5, &six), Verdict::Recurring));
+        assert_eq!(recent.0.len(), RECENT_OPERANDS);
     }
 
     /// The proptest's values weigh 0, 8, … 32 bytes beside their
@@ -351,11 +390,20 @@ pub(super) mod tests {
 
     /// The naive model: one `Vec` in recency order (front = least
     /// recently used), searched linearly, its bytes summed on demand —
-    /// and a plain set of every digest ever sighted.
+    /// and a plain map from every digest ever sighted to the operand last
+    /// sighted under it.
     #[derive(Default)]
     struct Model {
         entries: Vec<(Key, UBig, u64)>,
-        sighted: HashSet<u64>,
+        sighted: HashMap<u64, usize>,
+    }
+
+    /// A verdict without its allocation, as the model predicts it.
+    #[derive(Debug, PartialEq)]
+    enum Seen {
+        Share,
+        Recurring,
+        FirstSight,
     }
 
     impl Model {
@@ -401,32 +449,40 @@ pub(super) mod tests {
             }
         }
 
-        /// Second sight, spelled out: a pin, a repeat inside the flush,
-        /// or a digest this model has seen before.
-        fn admits(&mut self, key: Key, repeats: bool) -> bool {
-            match key {
-                Key::Pin(_) => true,
-                Key::Digest(digest) => !self.sighted.insert(digest) || repeats,
+        /// The table, spelled out: operand `at` shares the allocation of
+        /// a live earlier sighting of itself; a digest whose last operand
+        /// is gone recurs; a live *other* operand under the digest is a
+        /// collision, and a collision is a first sighting.
+        fn sight(&mut self, digest: u64, at: usize, held: &[Option<Arc<UBig>>]) -> Seen {
+            match self.sighted.insert(digest, at) {
+                None => Seen::FirstSight,
+                Some(last) if held[last].is_none() => Seen::Recurring,
+                Some(last) if last == at => Seen::Share,
+                Some(_) => Seen::FirstSight,
             }
         }
     }
 
     #[derive(Debug, Clone)]
     enum Op {
-        /// A flush's lookup: touch, and on a miss insert if admitted.
+        /// A submission's sighting, then a flush's lookup: touch, and on
+        /// a miss insert if admitted.
         Lookup(usize, bool),
         /// A direct insert (a replayed pin).
         Insert(usize),
         Remove(usize),
         Evict,
+        /// Every request holding the operand is answered and dropped.
+        Release(usize),
     }
 
     fn op() -> impl Strategy<Value = Op> {
-        (0u8..8, 0usize..12, any::<bool>()).prop_map(|(kind, at, repeats)| match kind {
+        (0u8..9, 0usize..12, any::<bool>()).prop_map(|(kind, at, repeats)| match kind {
             0..=3 => Op::Lookup(at, repeats),
             4..=5 => Op::Insert(at),
             6 => Op::Remove(at),
-            _ => Op::Evict,
+            7 => Op::Evict,
+            _ => Op::Release(at),
         })
     }
 
@@ -436,9 +492,12 @@ pub(super) mod tests {
         /// Twelve operands: 0..8 are inline, squeezed onto three digests
         /// so distinct operands collide all the time; 8..12 are pinned.
         /// Every operation must answer exactly like the naive model —
-        /// same hits, same value behind every hit (a collision never
-        /// serves a neighbour's), the same admission verdict on every
-        /// miss (an inline operand gets in on its digest's second
+        /// the same verdict on every inline sighting (a share only of the
+        /// operand's own live allocation, never a colliding neighbour's;
+        /// recurring once its digest's last operand is gone; a first
+        /// sighting otherwise), same hits, same value behind every hit
+        /// (a collision never serves a neighbour's), the same admission
+        /// on every miss (an inline operand gets in on its second
         /// sighting, never its first), the same bytes resident, never
         /// more than the budget after an eviction, and the same
         /// survivors (recency order, pins outlasting any digest
@@ -455,7 +514,10 @@ pub(super) mod tests {
                 })
                 .collect();
             let mut cache: KeyedLru<u64> = KeyedLru::new(budget, weigh);
-            let mut recent = RecentDigests::new();
+            let mut recent = RecentOperands::new();
+            // The test's own hold on each operand: what its queued
+            // requests keep alive.
+            let mut held: Vec<Option<Arc<UBig>>> = vec![None; universe.len()];
             let mut model = Model::default();
             prop_assert_eq!(cache.is_disabled(), budget == 0);
             for (step, op) in ops.iter().enumerate() {
@@ -463,16 +525,33 @@ pub(super) mod tests {
                 match *op {
                     Op::Lookup(at, repeats) => {
                         let (key, operand) = &universe[at];
+                        let recurring = match *key {
+                            Key::Pin(_) => true,
+                            Key::Digest(digest) => {
+                                let expected = model.sight(digest, at, &held);
+                                let copy = Arc::new(operand.clone());
+                                let (seen, kept) = match recent.sight(digest, &copy) {
+                                    Verdict::Share(shared) => {
+                                        let own = held[at].as_ref().is_some_and(|own| Arc::ptr_eq(own, &shared));
+                                        prop_assert!(own, "shared another allocation");
+                                        (Seen::Share, shared)
+                                    }
+                                    Verdict::Recurring => (Seen::Recurring, copy),
+                                    Verdict::FirstSight => (Seen::FirstSight, copy),
+                                };
+                                prop_assert_eq!(&seen, &expected);
+                                held[at] = Some(kept);
+                                seen != Seen::FirstSight
+                            }
+                        };
                         let hit = cache.touch(*key, operand);
                         prop_assert_eq!(hit, model.touch(*key, operand));
-                        if !hit {
-                            let admitted = recent.admits(*key, repeats);
-                            prop_assert_eq!(admitted, model.admits(*key, repeats));
-                            if admitted {
-                                cache.insert(*key, Arc::new(operand.clone()), value);
-                                if budget > 0 {
-                                    model.insert(*key, operand, value);
-                                }
+                        // Second sight: a pin, a repeat inside the flush,
+                        // or an operand sighted before.
+                        if !hit && (recurring || repeats) {
+                            cache.insert(*key, Arc::new(operand.clone()), value);
+                            if budget > 0 {
+                                model.insert(*key, operand, value);
                             }
                         }
                     }
@@ -496,6 +575,7 @@ pub(super) mod tests {
                         model.evict_to(budget);
                         prop_assert!(cache.resident_bytes() <= budget);
                     }
+                    Op::Release(at) => held[at] = None,
                 }
                 prop_assert_eq!(cache.len(), model.entries.len());
                 prop_assert_eq!(cache.resident_bytes(), model.bytes());

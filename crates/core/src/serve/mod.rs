@@ -34,11 +34,11 @@
 //!   [`CancelHandle`]) drops a job that is still queued.
 //! * **One cache.** Each card keeps a keyed LRU of prepared operand
 //!   handles under one [`ServeConfig::cache_bytes`] budget: inline
-//!   operands by digest (hashed once per flush, collision-verified),
-//!   operands a [`ClientSession::register`] call pinned by id (never
-//!   hashed, evicted last). An inline operand earns its slot the second
-//!   time its digest is seen, so one-shot operands run raw and hold no
-//!   memory. A recurring operand — a running accumulator, a fixed key
+//!   operands by digest (hashed once at admission, collision-verified,
+//!   held once however many queued requests carry them), operands a
+//!   [`ClientSession::register`] call pinned by id (never hashed,
+//!   evicted last). An inline operand earns its slot the second time it
+//!   is sighted, so one-shot operands run raw and hold no memory. A recurring operand — a running accumulator, a fixed key
 //!   element, a SIMD mask — therefore lands on the one-cached/both-cached
 //!   rungs of the batch ladder without the caller managing handles, and
 //!   a flush's admitted misses are prepared in parallel.

@@ -2,6 +2,10 @@
 //! bounded shared queue every submission funnels into, and the pure
 //! claim decision ([`pop_batch`]) a free card selects its next flush
 //! with.
+//! [`PoolShared::enqueue`] also admits each inline operand: hashed once,
+//! outside the queue lock, it takes the allocation of an equal operand
+//! still live in the fleet's [`RecentOperands`] table (held once however
+//! many requests carry it), and its digest and verdict ride to the card.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -11,7 +15,7 @@ use std::time::{Duration, Instant};
 use he_bigint::UBig;
 use he_ntt::par::lock_or_recover;
 
-use super::cache::{KeyedLru, RecentDigests};
+use super::cache::{digest, Key, KeyedLru, RecentOperands, Verdict};
 use super::completion::{CompletionSink, SubmitError};
 use super::config::{CardHealth, ServeConfig, ServeStats};
 
@@ -21,24 +25,41 @@ use super::config::{CardHealth, ServeConfig, ServeStats};
 /// operand in one shared allocation, so a card that caches it keeps the
 /// request's own bytes instead of a copy.
 #[derive(Debug, Clone)]
-pub(super) enum Operand {
-    Inline(Arc<UBig>),
-    Pinned { id: u64, value: Arc<UBig> },
+pub(super) struct Operand {
+    value: Arc<UBig>,
+    /// A pin's id, or the digest admission took of an inline operand
+    /// (`None` before admission: such an operand runs raw).
+    pub(super) key: Option<Key>,
+    /// Whether it earns a cache slot without repeating in its flush: a
+    /// pin always, an inline operand once the fleet sighted it before.
+    pub(super) recurring: bool,
 }
 
 impl Operand {
-    pub(super) fn value(&self) -> &UBig {
-        match self {
-            Operand::Inline(value) | Operand::Pinned { value, .. } => value,
+    fn inline(value: UBig) -> Operand {
+        Operand {
+            value: held(value),
+            key: None,
+            recurring: false,
         }
+    }
+
+    fn pinned(id: u64, value: Arc<UBig>) -> Operand {
+        Operand {
+            value,
+            key: Some(Key::Pin(id)),
+            recurring: true,
+        }
+    }
+
+    pub(super) fn value(&self) -> &UBig {
+        &self.value
     }
 
     /// The operand as a cache entry holds it: the request's own
     /// allocation, never a copy.
     pub(super) fn shared(&self) -> Arc<UBig> {
-        match self {
-            Operand::Inline(value) | Operand::Pinned { value, .. } => Arc::clone(value),
-        }
+        Arc::clone(&self.value)
     }
 }
 
@@ -67,8 +88,8 @@ impl ProductRequest {
     /// trimmed to fit).
     pub fn new(a: UBig, b: UBig) -> ProductRequest {
         ProductRequest {
-            a: Operand::Inline(held(a)),
-            b: Operand::Inline(held(b)),
+            a: Operand::inline(a),
+            b: Operand::inline(b),
             deadline: None,
         }
     }
@@ -99,9 +120,9 @@ impl ProductRequest {
     /// this to ship a pinned operand as its id alone instead of
     /// re-serializing the operand's bytes on every submission.
     pub fn operand_pins(&self) -> (Option<u64>, Option<u64>) {
-        let pin = |operand: &Operand| match operand {
-            Operand::Pinned { id, .. } => Some(*id),
-            Operand::Inline(_) => None,
+        let pin = |operand: &Operand| match operand.key {
+            Some(Key::Pin(id)) => Some(id),
+            _ => None,
         };
         (pin(&self.a), pin(&self.b))
     }
@@ -118,8 +139,8 @@ impl ProductRequest {
     /// means on the pool it is submitted to.
     pub fn pinned_with(id: u64, value: Arc<UBig>, fresh: UBig) -> ProductRequest {
         ProductRequest {
-            a: Operand::Pinned { id, value },
-            b: Operand::Inline(held(fresh)),
+            a: Operand::pinned(id, value),
+            b: Operand::inline(fresh),
             deadline: None,
         }
     }
@@ -128,14 +149,8 @@ impl ProductRequest {
     /// caveat as [`ProductRequest::pinned_with`] applies.
     pub fn pinned_pair(a: (u64, Arc<UBig>), b: (u64, Arc<UBig>)) -> ProductRequest {
         ProductRequest {
-            a: Operand::Pinned {
-                id: a.0,
-                value: a.1,
-            },
-            b: Operand::Pinned {
-                id: b.0,
-                value: b.1,
-            },
+            a: Operand::pinned(a.0, a.1),
+            b: Operand::pinned(b.0, b.1),
             deadline: None,
         }
     }
@@ -182,9 +197,10 @@ pub(super) struct PoolShared {
     /// Per-card stats snapshots, refreshed before every delivery so a
     /// live fleet can be observed.
     pub(super) live: Vec<Mutex<ServeStats>>,
-    /// Inline digests the cards sighted lately, fleet-wide: what
-    /// second-sight admission asks before caching an operand.
-    pub(super) recent: Mutex<RecentDigests>,
+    /// Inline operands sighted lately, fleet-wide: what admission
+    /// shares a live twin from, and what second-sight admission asks
+    /// before a card caches an operand.
+    recent: Mutex<RecentOperands>,
     /// Non-blocking submissions rejected because the queue was full.
     pub(super) shed: AtomicU64,
     /// Id source for session pins — pool-global so no two sessions (or
@@ -222,7 +238,7 @@ impl PoolShared {
             live: (0..cards)
                 .map(|_| Mutex::new(ServeStats::default()))
                 .collect(),
-            recent: Mutex::new(RecentDigests::new()),
+            recent: Mutex::new(RecentOperands::new()),
             shed: AtomicU64::new(0),
             pin_seq: AtomicU64::new(0),
             pin_registry: Mutex::new(KeyedLru::new(config.cache_bytes, |()| 0)),
@@ -296,13 +312,16 @@ impl PoolShared {
         self.wake_cards();
     }
 
-    /// The one enqueue path every submission flavor funnels through.
+    /// The one enqueue path every submission flavor funnels through, and
+    /// the one place an inline operand is admitted.
     pub(super) fn enqueue(
         &self,
-        request: ProductRequest,
+        mut request: ProductRequest,
         reply: CompletionSink,
         blocking: bool,
     ) -> Result<(), SubmitError> {
+        self.admit(&mut request.a);
+        self.admit(&mut request.b);
         let capacity = self.config.queue_capacity.max(1);
         let mut state = self.lock_state();
         loop {
@@ -328,6 +347,22 @@ impl PoolShared {
         drop(state);
         self.wake_cards();
         Ok(())
+    }
+
+    /// Admits an inline side not yet keyed: digests it and sights it in
+    /// the fleet's table, taking the allocation of a live equal operand
+    /// held there (the caller's duplicate is freed here).
+    fn admit(&self, side: &mut Operand) {
+        if side.key.is_some() {
+            return;
+        }
+        let digest = digest(&side.value);
+        let verdict = lock_or_recover(&self.recent).sight(digest, &side.value);
+        side.recurring = !matches!(verdict, Verdict::FirstSight);
+        if let Verdict::Share(twin) = verdict {
+            side.value = twin;
+        }
+        side.key = Some(Key::Digest(digest));
     }
 }
 

@@ -2,9 +2,9 @@
 //! is free, resolve its operands against the card's cache, then run it
 //! under panic containment in runs of as many jobs as the card's engine
 //! computes at once, answering each run before the next starts — a card
-//! holds one run's operands and products, not its whole flush's.
+//! holds one run's operands and products, not its whole flush's. A card
+//! hashes nothing: each operand arrives keyed and judged by admission.
 
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 use he_bigint::UBig;
 use he_ntt::par::lock_or_recover;
 
-use super::cache::{digest, Key, OperandCache};
+use super::cache::{holds, Key, OperandCache};
 use super::completion::{CompletionSink, ServeError};
 use super::config::{CardHealth, ServeStats};
 use super::queue::{pop_batch, Operand, PoolShared, Submitted};
@@ -27,10 +27,6 @@ pub(super) type CardFactory<M> = Arc<dyn Fn(usize) -> EvalEngine<M> + Send + Syn
 /// delivers these only after publishing its stats).
 type Reply = (CompletionSink, Result<UBig, ServeError>);
 
-/// The cache keys of one job's two operands, resolved once in phase 1 of
-/// its flush and carried to phase 2 (`None` = the cache is off).
-type JobKeys = (Option<Key>, Option<Key>);
-
 /// What a card found when it went back to the queue.
 enum Claim {
     Batch(Vec<Submitted>),
@@ -38,22 +34,16 @@ enum Claim {
     Closed,
 }
 
-/// Phase-1 bookkeeping of one flush.
-#[derive(Default)]
-struct FlushPlan<'a> {
-    /// Operands not found cached, in first-seen order: what admission
-    /// decides on.
-    unresolved: Vec<(Key, &'a Operand)>,
-    /// Every key that missed, with its repeat sightings after the first.
-    /// Once the first sighting's preparation lands, every repeat is
-    /// served from the cache in phase 2 — a hit, same as a cross-flush
-    /// hit. Until then the repeats stay provisional (a raw or failed
-    /// preparation caches nothing, so crediting them up front would
-    /// invent hits).
-    repeats: HashMap<Key, u64>,
-    /// Digests that hit this flush: still recurring, so kept fresh in
-    /// the fleet's recent-digest set.
-    hits: Vec<u64>,
+/// An operand of a flush not found cached: its key, its first sighting
+/// in the flush, and how many times it came round again after that.
+/// Once the first sighting's preparation lands, every repeat is served
+/// from the cache in phase 2 — a hit, same as a cross-flush hit. Until
+/// then the repeats stay provisional (a raw or failed preparation caches
+/// nothing, so crediting them up front would invent hits).
+struct Miss<'a> {
+    key: Key,
+    side: &'a Operand,
+    repeats: u64,
 }
 
 /// One card of the fleet: an engine, its private cache, and its counters.
@@ -248,20 +238,20 @@ impl<M: Multiplier + Sync> CardWorker<M> {
                     self.requeue_or_quarantine(job, &mut replies);
                 }
             }
-            Ok(keys) => {
+            Ok(()) => {
                 // A job that was live at dequeue but whose deadline passed
                 // while this flush prepared its operands has been
                 // overtaken by compute, not by queueing: it cannot start
                 // in time, so it is dropped here and attributed to the
                 // flush.
                 let now = Instant::now();
-                let mut run: Vec<(Submitted, JobKeys)> = Vec::with_capacity(live.len());
-                for (job, keys) in live.into_iter().zip(keys) {
+                let mut run: Vec<Submitted> = Vec::with_capacity(live.len());
+                for job in live {
                     match job.request.deadline() {
                         Some(deadline) if deadline < now => {
                             self.expire_in_flush(job, deadline, now, &mut replies);
                         }
-                        _ => run.push((job, keys)),
+                        _ => run.push(job),
                     }
                 }
                 if !run.is_empty() {
@@ -307,47 +297,41 @@ impl<M: Multiplier + Sync> CardWorker<M> {
         replies.push((job.reply, Err(ServeError::Expired { missed_by })));
     }
 
-    /// Phase 1 of a flush: resolve every operand to its cache key — a
-    /// pin's id, or an inline operand's digest, hashed **once** here —
-    /// look it up, put the misses through admission, and prepare the
-    /// admitted ones, pinned and inline together, **in
-    /// parallel** at the product level. An operand that is not admitted
-    /// (a first sighting) or that the backend cannot prepare simply
-    /// stays uncached — its job runs it raw.
-    fn prepare_operands(&mut self, live: &[Submitted]) -> Vec<JobKeys> {
+    /// Phase 1 of a flush: look every operand up by the key it carries —
+    /// a pin's id, or the digest admission took of an inline operand —
+    /// put the misses through admission, and prepare the admitted ones,
+    /// pinned and inline together, **in parallel** at the product level.
+    /// An operand that is not admitted (a first sighting) or that the
+    /// backend cannot prepare simply stays uncached — its job runs it raw.
+    fn prepare_operands(&mut self, live: &[Submitted]) {
         if self.cache.is_disabled() {
-            return vec![(None, None); live.len()];
+            return;
         }
-        let mut plan = FlushPlan::default();
-        let mut keys: Vec<JobKeys> = Vec::with_capacity(live.len());
+        let mut misses: Vec<Miss<'_>> = Vec::new();
         for job in live {
-            let key_a = self.resolve(&job.request.a, &mut plan);
-            let key_b = self.resolve(&job.request.b, &mut plan);
-            keys.push((Some(key_a), Some(key_b)));
+            self.resolve(&job.request.a, &mut misses);
+            self.resolve(&job.request.b, &mut misses);
         }
-        let mut recent = lock_or_recover(&self.shared.recent);
-        for digest in plan.hits {
-            recent.sight(digest);
-        }
-        // A lookup that is not admitted is still a miss.
-        let misses = &mut self.stats.cache_misses;
-        plan.unresolved.retain(|(key, _)| {
-            let repeats = plan.repeats.get(key).is_some_and(|&repeats| repeats > 0);
-            let admits = recent.admits(*key, repeats);
-            *misses += u64::from(!admits);
+        // Second sight: a pin, an operand the fleet sighted before, or a
+        // repeat inside this flush. A lookup that is not admitted is
+        // still a miss.
+        let not_admitted = &mut self.stats.cache_misses;
+        misses.retain(|miss| {
+            let admits = miss.repeats > 0 || miss.side.recurring;
+            *not_admitted += u64::from(!admits);
             admits
         });
-        drop(recent);
-        let admitted = plan.unresolved;
-        let operands: Vec<&UBig> = admitted.iter().map(|(_, side)| side.value()).collect();
+        let operands: Vec<&UBig> = misses.iter().map(|miss| miss.side.value()).collect();
         let prepared = self.engine.prepare_many(&operands);
-        for ((key, side), prepared) in admitted.iter().zip(prepared) {
+        for (miss, prepared) in misses.iter().zip(prepared) {
             match prepared {
                 Ok(handle) if handle.is_cached() => {
-                    self.cache.insert(*key, side.shared(), handle);
-                    if matches!(key, Key::Digest(_)) {
+                    self.cache.insert(miss.key, miss.side.shared(), handle);
+                    if matches!(miss.key, Key::Digest(_)) {
                         self.stats.cache_misses += 1;
                     }
+                    // Its repeats are hits now.
+                    self.credit_hits(miss.key, miss.repeats);
                 }
                 // A raw-fallback backend caches no spectrum, so retaining
                 // handles would only clone operands into resident memory
@@ -355,39 +339,34 @@ impl<M: Multiplier + Sync> CardWorker<M> {
                 // good.
                 Ok(_) => {
                     self.cache = OperandCache::of_handles(0);
-                    return vec![(None, None); live.len()];
+                    return;
                 }
                 Err(_) => {}
             }
         }
-        // The repeats of a now-cached operand are hits.
-        for (key, count) in plan.repeats {
-            if self.cache.contains_key(key) {
-                self.credit_hits(key, count);
-            }
-        }
-        keys
     }
 
-    /// Resolves one operand of a flush: its key, and — unless it hit —
-    /// where its handle will come from.
-    fn resolve<'a>(&mut self, side: &'a Operand, plan: &mut FlushPlan<'a>) -> Key {
-        let key = match side {
-            Operand::Pinned { id, .. } => Key::Pin(*id),
-            Operand::Inline(value) => Key::Digest(digest(value)),
+    /// Resolves one keyed operand of a flush: a hit, a repeat of an
+    /// earlier miss of the same operand (the match verified, like every
+    /// cache lookup, so a digest collision is two misses), or a new miss.
+    fn resolve<'a>(&mut self, side: &'a Operand, misses: &mut Vec<Miss<'a>>) {
+        let Some(key) = side.key else {
+            return;
         };
         if self.cache.touch(key, side.value()) {
             self.credit_hits(key, 1);
-            if let Key::Digest(digest) = key {
-                plan.hits.push(digest);
-            }
-        } else if let Some(repeats) = plan.repeats.get_mut(&key) {
-            *repeats += 1;
+        } else if let Some(miss) = misses
+            .iter_mut()
+            .find(|miss| miss.key == key && holds(key, miss.side.value(), side.value()))
+        {
+            miss.repeats += 1;
         } else {
-            plan.repeats.insert(key, 0);
-            plan.unresolved.push((key, side));
+            misses.push(Miss {
+                key,
+                side,
+                repeats: 0,
+            });
         }
-        key
     }
 
     fn credit_hits(&mut self, key: Key, count: u64) {
@@ -405,12 +384,12 @@ impl<M: Multiplier + Sync> CardWorker<M> {
     /// engine panicked: the panicking run's jobs and every later run's
     /// have been re-queued or quarantined, while the earlier runs'
     /// answers stand.
-    fn execute(&mut self, jobs: Vec<(Submitted, JobKeys)>, replies: &mut Vec<Reply>) -> bool {
+    fn execute(&mut self, jobs: Vec<Submitted>, replies: &mut Vec<Reply>) -> bool {
         let width = self.engine.width();
         let mut jobs = jobs.into_iter();
         let mut survived = true;
         while survived {
-            let run: Vec<(Submitted, JobKeys)> = jobs.by_ref().take(width).collect();
+            let run: Vec<Submitted> = jobs.by_ref().take(width).collect();
             if run.is_empty() {
                 break;
             }
@@ -418,7 +397,7 @@ impl<M: Multiplier + Sync> CardWorker<M> {
             self.deliver(replies);
         }
         // The card died: whatever it had not started goes back as well.
-        for (job, _) in jobs {
+        for job in jobs {
             self.requeue_or_quarantine(job, replies);
         }
         survived
@@ -428,15 +407,14 @@ impl<M: Multiplier + Sync> CardWorker<M> {
     /// as one unit, with panic containment and per-job error isolation.
     /// Returns `false` when the engine panicked (the run's unanswered
     /// jobs have been re-queued or quarantined).
-    fn execute_run(&mut self, run: Vec<(Submitted, JobKeys)>, replies: &mut Vec<Reply>) -> bool {
-        let lookup = |side: &Operand, key: Option<Key>| -> Option<&OperandHandle> {
-            self.cache.get(key?, side.value())
-        };
+    fn execute_run(&mut self, run: Vec<Submitted>, replies: &mut Vec<Reply>) -> bool {
+        let lookup =
+            |side: &Operand| -> Option<&OperandHandle> { self.cache.get(side.key?, side.value()) };
         let jobs: Vec<ProductJob<'_>> = run
             .iter()
-            .map(|(job, (key_a, key_b))| {
+            .map(|job| {
                 let (a, b) = (&job.request.a, &job.request.b);
-                match (lookup(a, *key_a), lookup(b, *key_b)) {
+                match (lookup(a), lookup(b)) {
                     (Some(ha), Some(hb)) => ProductJob::Prepared(ha, hb),
                     (Some(ha), None) => ProductJob::OnePrepared(ha, b.value()),
                     // Multiplication commutes, so a lone cached `b`
@@ -486,7 +464,7 @@ impl<M: Multiplier + Sync> CardWorker<M> {
         drop(jobs);
         self.stats.reruns += reruns;
         let mut survived = true;
-        for ((job, _), outcome) in run.into_iter().zip(outcomes) {
+        for (job, outcome) in run.into_iter().zip(outcomes) {
             match outcome {
                 Some(Ok(product)) => {
                     self.stats.completed += 1;
@@ -629,12 +607,14 @@ impl<M: Multiplier + Sync> CardWorker<M> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::cache::tests::DIGEST_CALLS;
+    use super::super::cache::tests::{DIGEST_CALLS, FORCED_DIGEST};
     use super::super::completion::{completion_channel, CancelHandle, CompletionReceiver};
     use super::super::config::ServeConfig;
     use super::super::queue::ProductRequest;
     use super::*;
     use crate::multiplier::SsaSoftware;
+    use std::cell::Cell;
+    use std::collections::HashMap;
     use std::sync::atomic::AtomicU64;
     use std::sync::Mutex;
 
@@ -709,19 +689,35 @@ mod tests {
         }
     }
 
+    /// The queued requests' operands, in queue order.
+    fn queued<M>(card: &CardWorker<M>) -> Vec<(Arc<UBig>, Arc<UBig>)> {
+        let state = card.shared.lock_state();
+        let sides = |job: &Submitted| (job.request.a.shared(), job.request.b.shared());
+        state.pending.iter().map(sides).collect()
+    }
+
     #[test]
-    fn each_inline_operand_is_hashed_once_per_flush() {
+    fn each_inline_operand_is_hashed_once_at_admission() {
         let mut card = card();
+        let calls = || DIGEST_CALLS.with(Cell::get);
         // A recurring operand, a repeat inside the flush, fresh ones.
         let pairs = [(7, 11), (7, 13), (7, 11), (17, 19)];
         for round in 0..2 {
+            let before = calls();
             let receiver = submit(&card, &pairs);
-            let before = DIGEST_CALLS.with(|calls| calls.get());
+            let admitted = calls();
+            // Admission interned the repeats: the three 7s are one
+            // allocation, the two 11s another.
+            let queued = queued(&card);
+            assert!(Arc::ptr_eq(&queued[0].0, &queued[1].0));
+            assert!(Arc::ptr_eq(&queued[0].0, &queued[2].0));
+            assert!(Arc::ptr_eq(&queued[0].1, &queued[2].1));
             flush_pending(&mut card);
-            let hashed = DIGEST_CALLS.with(|calls| calls.get()) - before;
             // Misses (round 0) and hits (round 1) alike: one digest per
-            // operand sighting — lookup, insert and phase 2 share it.
-            assert_eq!(hashed, 2 * pairs.len() as u64, "round {round}");
+            // submitted inline operand, taken at admission — the card's
+            // lookup, insert and phase 2 hash nothing.
+            assert_eq!(admitted - before, 2 * pairs.len() as u64, "round {round}");
+            assert_eq!(calls(), admitted, "round {round}");
             assert_products(&receiver, &pairs);
         }
         // 7 and 11 repeat inside round 0 and miss once each; 13, 17 and
@@ -729,6 +725,37 @@ mod tests {
         assert_eq!(card.stats.cache_misses, 8);
         assert_eq!(card.stats.cache_hits, 16 - 8);
         assert_eq!(card.stats.flushes, 2);
+    }
+
+    #[test]
+    fn colliding_operands_are_never_shared_and_each_needs_a_second_sight() {
+        let mut card = card();
+        FORCED_DIGEST.with(|forced| forced.set(Some(42)));
+        let mut flush = |pairs: &[(u64, u64)]| {
+            let receiver = submit(&card, pairs);
+            for ((a, b), &(x, y)) in queued(&card).iter().zip(pairs) {
+                // Every operand keeps its own value: a twin under the
+                // same digest is shared only when the bytes match.
+                assert_eq!((&**a, &**b), (&UBig::from(x), &UBig::from(y)));
+                assert_eq!(Arc::ptr_eq(a, b), x == y);
+            }
+            flush_pending(&mut card);
+            assert_products(&receiver, pairs);
+            let stats = card.stats;
+            (card.cache.len(), stats.cache_hits, stats.cache_misses)
+        };
+        // 7 and 11 collide: two first sightings, not one operand seen
+        // twice — nothing is admitted.
+        assert_eq!(flush(&[(7, 11)]), (0, 0, 2));
+        // 7 comes round again once its last holder is gone and earns its
+        // slot; 11 still meets a live 7 under its digest.
+        assert_eq!(flush(&[(7, 11)]), (1, 0, 4));
+        // 11 twice in one flush: its second sighting, shared with the
+        // first; cached beside 7 under the one digest.
+        assert_eq!(flush(&[(11, 11)]), (2, 1, 5));
+        // Each finds its own entry.
+        assert_eq!(flush(&[(7, 11)]), (2, 3, 5));
+        FORCED_DIGEST.with(|forced| forced.set(None));
     }
 
     #[test]

@@ -11,14 +11,17 @@
 //! product the moment its run ends, so a product is the client's to hold
 //! or drop as soon as it exists; the bound charges every job of the
 //! window for its product all the same, so it holds however the client
-//! and the card interleave.
+//! and the card interleave. Admission holds each recurring operand once:
+//! a window of queued requests, each submitted with its own copy of the
+//! recurring operand, keeps one copy resident, not one per request.
 //!
 //! A wrapping global allocator tracks live heap bytes process-wide; this
 //! file is its own test binary with one `#[test]`, so nothing else
 //! allocates while it measures.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
 
 use he_accel::prelude::*;
 use rand::rngs::StdRng;
@@ -85,6 +88,28 @@ fn residue(x: &UBig) -> u128 {
         .iter()
         .rev()
         .fold(0, |r, &limb| ((r << 64) + u128::from(limb)) % P)
+}
+
+/// The paper's multiplier behind a gate: its first product waits at the
+/// gate twice — once to say the card is busy, once to be let through.
+struct Gated {
+    inner: SsaSoftware,
+    gate: Arc<Barrier>,
+    first: AtomicBool,
+}
+
+impl Multiplier for Gated {
+    fn multiply(&self, a: &UBig, b: &UBig) -> Result<UBig, MultiplyError> {
+        if self.first.swap(false, Ordering::SeqCst) {
+            self.gate.wait();
+            self.gate.wait();
+        }
+        self.inner.multiply(a, b)
+    }
+
+    fn name(&self) -> &'static str {
+        "gated"
+    }
 }
 
 fn spawn() -> ServerPool {
@@ -192,4 +217,44 @@ fn a_flood_of_fresh_operands_stays_inside_the_cache_budget() {
     let stats = pool.shutdown().total();
     // Both recurring operands earned their entries and hit from then on.
     assert!(stats.cache_hits >= stats.completed - 4, "{stats:?}");
+
+    // A window queued behind a busy card, every request carrying its own
+    // copy of the recurring operand: admission keeps one of them.
+    let gate = Arc::new(Barrier::new(2));
+    let gated = Gated {
+        inner: SsaSoftware::paper(),
+        gate: Arc::clone(&gate),
+        first: AtomicBool::new(true),
+    };
+    let pool = ServerPool::spawn(vec![EvalEngine::new(gated)], ServeConfig::default());
+    let mut queue: CompletionQueue<'_, ServerPool, u64> = CompletionQueue::new(&pool);
+    let one = || UBig::from(1u64);
+    queue
+        .submit_tagged(ProductRequest::new(one(), one()), 0)
+        .map_err(|(error, _)| error)
+        .expect("pool alive");
+    gate.wait();
+    let baseline = LIVE.load(Ordering::Relaxed);
+    for i in 1..=WINDOW as u64 {
+        queue
+            .submit_tagged(ProductRequest::new(fixed.clone(), UBig::from(i)), i)
+            .map_err(|(error, _)| error)
+            .expect("pool alive");
+    }
+    let queued = LIVE.load(Ordering::Relaxed).saturating_sub(baseline);
+    gate.wait();
+    assert!(
+        queued < 2 * OPERAND,
+        "{} KiB queued with {WINDOW} requests on one recurring operand",
+        queued / KIB
+    );
+    for done in queue.drain() {
+        let expect = if done.tag == 0 {
+            one()
+        } else {
+            &fixed * &UBig::from(done.tag)
+        };
+        assert_eq!(done.result.expect("served"), expect);
+    }
+    assert_eq!(pool.shutdown().total().completed, 1 + WINDOW as u64);
 }

@@ -31,7 +31,7 @@ use he_accel::{
 use he_bigint::UBig;
 
 use crate::sock::{read_frame, Conn, Endpoint, ReadEvent};
-use crate::wire::{Frame, WireOperand, DEFAULT_MAX_FRAME_BYTES};
+use crate::wire::{encode_submit, Frame, OperandRef, DEFAULT_MAX_FRAME_BYTES};
 use crate::NetError;
 
 /// Tunables of one [`NetSession`].
@@ -593,24 +593,24 @@ impl Submitter for NetSession {
         let req_id = self.shared.next_req_id();
         let (pin_a, pin_b) = request.operand_pins();
         let (value_a, value_b) = request.operands();
-        let wire = |pin: Option<u64>, value: &UBig| match pin {
-            Some(pin) => WireOperand::Pinned(pin),
-            None => WireOperand::Inline(value.clone()),
+        let wire = |pin: Option<u64>, value| match pin {
+            Some(pin) => OperandRef::Pinned(pin),
+            None => OperandRef::Inline(value),
         };
         let deadline_nanos = request.deadline().map(|deadline| {
             let remaining = deadline.saturating_duration_since(Instant::now());
             remaining.as_nanos().min(u64::MAX as u128) as u64
         });
-        let frame = Frame::Submit {
+        let bytes = encode_submit(
             req_id,
-            a: wire(pin_a, value_a),
-            b: wire(pin_b, value_b),
+            wire(pin_a, value_a),
+            wire(pin_b, value_b),
             deadline_nanos,
-        };
+        );
         // A failed send drops the entry, and with it the sink — which
         // resolves `Closed`, same contract as the local pool.
         self.shared
-            .send(&frame.encode(), Some((req_id, PendingReply::Job(sink))))
+            .send(&bytes, Some((req_id, PendingReply::Job(sink))))
             .map_err(|_| SubmitError::Closed(request))
     }
 }

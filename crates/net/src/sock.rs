@@ -220,18 +220,18 @@ pub(crate) fn read_frame(conn: &mut Conn, max_frame: usize) -> Result<ReadEvent,
             cap: max_frame,
         }));
     }
-    let mut body = vec![0u8; body_len as usize];
-    match read_full(conn, &mut body, false)? {
+    // Prefix and body in one buffer, the body read straight into it, for
+    // the one shared decoder; prefix re-validation is trivially cheap
+    // next to the socket reads.
+    let mut framed = vec![0u8; LEN_PREFIX_BYTES + body_len as usize];
+    let (head, body) = framed.split_at_mut(LEN_PREFIX_BYTES);
+    head.copy_from_slice(&prefix);
+    match read_full(conn, body, false)? {
         FullRead::Done => {}
         FullRead::TimedOutEmpty | FullRead::EofEmpty => {
             return Err(NetError::Io(io::ErrorKind::UnexpectedEof.into()))
         }
     }
-    // Reassemble for the one shared decoder; prefix re-validation is
-    // trivially cheap next to the socket reads.
-    let mut framed = Vec::with_capacity(LEN_PREFIX_BYTES + body.len());
-    framed.extend_from_slice(&prefix);
-    framed.extend_from_slice(&body);
     let (frame, _) = Frame::decode(&framed, max_frame)?;
     Ok(ReadEvent::Frame(frame))
 }

@@ -285,25 +285,83 @@ const FAILURE_CLOSED: u8 = 3;
 
 // ---------------------------------------------------------------- encode
 
+/// One side of a submission as the encoder reads it: borrowed, so a
+/// client encodes straight from the request it holds.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum OperandRef<'a> {
+    Inline(&'a UBig),
+    Pinned(u64),
+}
+
+impl WireOperand {
+    fn borrowed(&self) -> OperandRef<'_> {
+        match self {
+            WireOperand::Inline(value) => OperandRef::Inline(value),
+            WireOperand::Pinned(id) => OperandRef::Pinned(*id),
+        }
+    }
+}
+
+/// The length prefix and body header of a frame whose payload takes
+/// `payload` bytes, in a buffer with room for exactly that payload: a
+/// frame is sized once and never grows.
+fn frame_buffer(opcode: u8, correlation: u64, payload: usize) -> Vec<u8> {
+    let body = BODY_HEADER_BYTES + payload;
+    let mut out = Vec::with_capacity(LEN_PREFIX_BYTES + body);
+    out.extend_from_slice(&(body as u32).to_le_bytes());
+    out.push(WIRE_VERSION);
+    out.push(opcode);
+    out.extend_from_slice(&correlation.to_le_bytes());
+    out
+}
+
 fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
     out.extend_from_slice(bytes);
 }
 
-fn put_ubig(out: &mut Vec<u8>, value: &UBig) {
-    put_bytes(out, &value.to_le_bytes());
+fn bytes_len(bytes: &[u8]) -> usize {
+    4 + bytes.len()
 }
 
-fn put_operand(out: &mut Vec<u8>, operand: &WireOperand) {
+/// Significant bytes of `value`: its little-endian bytes without the
+/// top limb's zero bytes.
+fn ubig_bytes(value: &UBig) -> usize {
+    value.bit_len().div_ceil(8)
+}
+
+/// Writes `value` as a length-prefixed byte string straight from its
+/// limbs.
+fn put_ubig(out: &mut Vec<u8>, value: &UBig) {
+    let len = ubig_bytes(value);
+    out.extend_from_slice(&(len as u32).to_le_bytes());
+    for (i, limb) in value.as_limbs().iter().enumerate() {
+        let bytes = limb.to_le_bytes();
+        out.extend_from_slice(&bytes[..len.saturating_sub(8 * i).min(8)]);
+    }
+}
+
+fn ubig_len(value: &UBig) -> usize {
+    4 + ubig_bytes(value)
+}
+
+fn put_operand(out: &mut Vec<u8>, operand: OperandRef<'_>) {
     match operand {
-        WireOperand::Inline(value) => {
+        OperandRef::Inline(value) => {
             out.push(OPERAND_INLINE);
             put_ubig(out, value);
         }
-        WireOperand::Pinned(id) => {
+        OperandRef::Pinned(id) => {
             out.push(OPERAND_PINNED);
             out.extend_from_slice(&id.to_le_bytes());
         }
+    }
+}
+
+fn operand_len(operand: OperandRef<'_>) -> usize {
+    1 + match operand {
+        OperandRef::Inline(value) => ubig_len(value),
+        OperandRef::Pinned(_) => 8,
     }
 }
 
@@ -324,6 +382,41 @@ fn put_failure(out: &mut Vec<u8>, failure: &WireFailure) {
         }
         WireFailure::Closed => out.push(FAILURE_CLOSED),
     }
+}
+
+fn failure_len(failure: &WireFailure) -> usize {
+    1 + match failure {
+        WireFailure::Expired { .. } => 8,
+        WireFailure::Backend { kind, detail } => {
+            bytes_len(kind.as_bytes()) + bytes_len(detail.as_bytes())
+        }
+        WireFailure::Poisoned { .. } => 4,
+        WireFailure::Closed => 0,
+    }
+}
+
+/// Encodes a complete [`Frame::Submit`] from borrowed operands — the
+/// bytes `Frame::Submit { .. }.encode()` writes, without owning a copy
+/// of either operand first.
+pub(crate) fn encode_submit(
+    req_id: u64,
+    a: OperandRef<'_>,
+    b: OperandRef<'_>,
+    deadline_nanos: Option<u64>,
+) -> Vec<u8> {
+    let deadline_len = if deadline_nanos.is_some() { 9 } else { 1 };
+    let payload = deadline_len + operand_len(a) + operand_len(b);
+    let mut out = frame_buffer(OP_SUBMIT, req_id, payload);
+    match deadline_nanos {
+        Some(nanos) => {
+            out.push(1);
+            out.extend_from_slice(&nanos.to_le_bytes());
+        }
+        None => out.push(0),
+    }
+    put_operand(&mut out, a);
+    put_operand(&mut out, b);
+    out
 }
 
 /// `u64`s in a [`Frame::Stats`] payload.
@@ -403,46 +496,47 @@ impl Frame {
         }
     }
 
-    /// Encodes the complete frame, length prefix included.
+    /// Encodes the complete frame, length prefix included, into one
+    /// buffer sized once.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
-        out.extend_from_slice(&[0; LEN_PREFIX_BYTES]); // patched below
-        out.push(WIRE_VERSION);
-        out.push(self.opcode());
-        out.extend_from_slice(&self.correlation().to_le_bytes());
-        match self {
+        let payload = match self {
+            // The one submit encoder, which clients call on borrowed
+            // operands.
             Frame::Submit {
+                req_id,
                 a,
                 b,
                 deadline_nanos,
-                ..
-            } => {
-                match deadline_nanos {
-                    Some(nanos) => {
-                        out.push(1);
-                        out.extend_from_slice(&nanos.to_le_bytes());
-                    }
-                    None => out.push(0),
-                }
-                put_operand(&mut out, a);
-                put_operand(&mut out, b);
+            } => return encode_submit(*req_id, a.borrowed(), b.borrowed(), *deadline_nanos),
+            Frame::Register { operand: value, .. } | Frame::Product { value, .. } => {
+                ubig_len(value)
             }
-            Frame::Register { operand, .. } => put_ubig(&mut out, operand),
-            Frame::Product { value, .. } => put_ubig(&mut out, value),
+            Frame::Failure { error, .. } => failure_len(error),
+            Frame::Stats { .. } => 8 * STATS_FIELDS,
+            Frame::Unregister { .. }
+            | Frame::Cancel { .. }
+            | Frame::StatsRequest { .. }
+            | Frame::Ping { .. }
+            | Frame::Pong { .. } => 0,
+        };
+        let mut out = frame_buffer(self.opcode(), self.correlation(), payload);
+        match self {
+            Frame::Register { operand: value, .. } | Frame::Product { value, .. } => {
+                put_ubig(&mut out, value)
+            }
             Frame::Failure { error, .. } => put_failure(&mut out, error),
             Frame::Stats { stats, .. } => {
                 for field in stats_fields(stats) {
                     out.extend_from_slice(&field.to_le_bytes());
                 }
             }
-            Frame::Unregister { .. }
+            Frame::Submit { .. }
+            | Frame::Unregister { .. }
             | Frame::Cancel { .. }
             | Frame::StatsRequest { .. }
             | Frame::Ping { .. }
             | Frame::Pong { .. } => {}
         }
-        let body_len = (out.len() - LEN_PREFIX_BYTES) as u32;
-        out[..LEN_PREFIX_BYTES].copy_from_slice(&body_len.to_le_bytes());
         out
     }
 
@@ -692,5 +786,115 @@ mod tests {
             detail: "prepared elsewhere".into(),
         });
         assert_eq!(WireFailure::from_serve(&mismatch).into_serve(), mismatch);
+    }
+
+    /// FNV-1a: a toolchain-independent fingerprint of a frame's bytes.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// `limbs` limbs of a fixed pattern, the top one three bytes wide so
+    /// the encoder writes a partial limb.
+    fn patterned(limbs: usize, seed: u64) -> UBig {
+        let mut value: Vec<u64> = (0..limbs as u64)
+            .map(|i| (i + seed).wrapping_mul(0x9e37_79b9_7f4a_7c15))
+            .collect();
+        if let Some(top) = value.last_mut() {
+            *top = 0x00ab_cdef | 1 << 20;
+        }
+        UBig::from_limbs(value)
+    }
+
+    #[test]
+    fn paper_size_frames_keep_their_wire_bytes() {
+        // Two 786,432-bit operands up, a double-width product down. The
+        // lengths and fingerprints are those of the encoder that staged
+        // each operand through `UBig::to_le_bytes` into a growing buffer.
+        let limbs = 786_432 / 64;
+        let (a, b) = (patterned(limbs, 1), patterned(limbs, 2));
+        let submit = Frame::Submit {
+            req_id: 7,
+            a: WireOperand::Inline(a.clone()),
+            b: WireOperand::Inline(b.clone()),
+            deadline_nanos: Some(5_000_000),
+        };
+        let product = Frame::Product {
+            req_id: 7,
+            value: patterned(2 * limbs, 3),
+        };
+        for (frame, len, fingerprint) in [
+            (&submit, 196_631, 0xd860_40e0_2bdd_3f4a),
+            (&product, 196_621, 0x9d94_ecca_b18f_f5cd),
+        ] {
+            let bytes = frame.encode();
+            assert_eq!((bytes.len(), fnv1a(&bytes)), (len, fingerprint));
+            assert_eq!(bytes.capacity(), bytes.len(), "sized once");
+            let (decoded, used) = Frame::decode(&bytes, DEFAULT_MAX_FRAME_BYTES).unwrap();
+            assert_eq!((&decoded, used), (frame, len));
+        }
+        // A client encodes the same bytes from the operands it borrows.
+        let borrowed = encode_submit(
+            7,
+            OperandRef::Inline(&a),
+            OperandRef::Inline(&b),
+            Some(5_000_000),
+        );
+        assert_eq!(borrowed, submit.encode());
+    }
+
+    #[test]
+    fn every_frame_is_encoded_into_a_buffer_sized_once() {
+        let frames = [
+            Frame::Submit {
+                req_id: 1,
+                a: WireOperand::Pinned(3),
+                b: WireOperand::Inline(UBig::zero()),
+                deadline_nanos: None,
+            },
+            Frame::Register {
+                pin: 2,
+                operand: UBig::from(0x1234u64),
+            },
+            Frame::Unregister { pin: 2 },
+            Frame::Cancel { req_id: 4 },
+            Frame::StatsRequest { req_id: 5 },
+            Frame::Ping { req_id: 6 },
+            Frame::Product {
+                req_id: 7,
+                value: UBig::from(u64::MAX),
+            },
+            Frame::Failure {
+                req_id: 8,
+                error: WireFailure::Backend {
+                    kind: "ssa".into(),
+                    detail: "too big".into(),
+                },
+            },
+            Frame::Failure {
+                req_id: 9,
+                error: WireFailure::Expired { missed_by_nanos: 1 },
+            },
+            Frame::Failure {
+                req_id: 10,
+                error: WireFailure::Poisoned { attempts: 3 },
+            },
+            Frame::Failure {
+                req_id: 11,
+                error: WireFailure::Closed,
+            },
+            Frame::Stats {
+                req_id: 12,
+                stats: ServeStats::default(),
+            },
+            Frame::Pong { req_id: 13 },
+        ];
+        for frame in frames {
+            let bytes = frame.encode();
+            assert_eq!(bytes.capacity(), bytes.len(), "{frame:?}");
+            let (decoded, used) = Frame::decode(&bytes, DEFAULT_MAX_FRAME_BYTES).unwrap();
+            assert_eq!((decoded, used), (frame, bytes.len()));
+        }
     }
 }
