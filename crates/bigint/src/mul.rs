@@ -3,7 +3,7 @@
 //! These are the software baselines for the paper's Schönhage–Strassen
 //! accelerator (Section III observes SSA "is advantageous for operands of at
 //! least 100,000 bits"; the `mul_crossover` bench reproduces that claim).
-//! The `*` operator dispatches on size.
+//! The `*` operator dispatches on size, by the shorter operand.
 
 use core::ops::{Mul, MulAssign};
 
@@ -156,17 +156,62 @@ fn split3(x: &UBig, m: usize) -> (UBig, UBig, UBig) {
     (part(0..m), part(m..2 * m), part(2 * m..3 * m))
 }
 
+/// `long · short` for `long` at least twice as long as `short`: `long`
+/// is cut into `short`-sized blocks, each multiplied (balanced) by
+/// `short` and added in at its offset, so the cost grows linearly in the
+/// long side instead of paying a balanced product padded to its length.
+fn mul_unbalanced(long: &UBig, short: &UBig) -> UBig {
+    let (l, s) = (long.as_limbs(), short.as_limbs());
+    let mut out = vec![0u64; l.len() + s.len()];
+    for (i, block) in l.chunks(s.len()).enumerate() {
+        let product = &UBig::from_limbs(block.to_vec()) * short;
+        add_at(&mut out, i * s.len(), product.as_limbs());
+    }
+    UBig::from_limbs(out)
+}
+
+/// `out[offset..] += limbs`, carrying upward; the caller guarantees the
+/// sum fits in `out`.
+fn add_at(out: &mut [u64], offset: usize, limbs: &[u64]) {
+    let mut carry = false;
+    for (o, &x) in out[offset..].iter_mut().zip(limbs) {
+        let (sum, c1) = o.overflowing_add(x);
+        let (sum, c2) = sum.overflowing_add(carry as u64);
+        *o = sum;
+        carry = c1 || c2;
+    }
+    for o in &mut out[offset + limbs.len()..] {
+        if !carry {
+            break;
+        }
+        let (sum, c) = o.overflowing_add(1);
+        *o = sum;
+        carry = c;
+    }
+}
+
 impl Mul<&UBig> for &UBig {
     type Output = UBig;
 
+    /// Dispatches on the **shorter** operand: schoolbook below
+    /// `KARATSUBA_THRESHOLD` limbs, blockwise when one side is at least
+    /// twice the other, and otherwise Karatsuba or Toom-3 by the longer
+    /// side.
     fn mul(self, rhs: &UBig) -> UBig {
-        let n = self.as_limbs().len().max(rhs.as_limbs().len());
-        if n >= TOOM3_THRESHOLD {
-            self.mul_toom3(rhs)
-        } else if n >= KARATSUBA_THRESHOLD {
-            self.mul_karatsuba(rhs)
+        let (long, short) = if self.as_limbs().len() >= rhs.as_limbs().len() {
+            (self, rhs)
         } else {
-            self.mul_schoolbook(rhs)
+            (rhs, self)
+        };
+        let (n, s) = (long.as_limbs().len(), short.as_limbs().len());
+        if s < KARATSUBA_THRESHOLD {
+            long.mul_schoolbook(short)
+        } else if n >= 2 * s {
+            mul_unbalanced(long, short)
+        } else if n >= TOOM3_THRESHOLD {
+            self.mul_toom3(rhs)
+        } else {
+            self.mul_karatsuba(rhs)
         }
     }
 }
@@ -273,6 +318,8 @@ mod tests {
             (64 * TOOM3_THRESHOLD, 64 * TOOM3_THRESHOLD),
             (64 * TOOM3_THRESHOLD + 7, 64 * KARATSUBA_THRESHOLD),
             (20_000, 30_000),
+            (64 * 2 * KARATSUBA_THRESHOLD, 64 * KARATSUBA_THRESHOLD),
+            (64 * 1000 + 5, 64 * TOOM3_THRESHOLD + 1),
         ] {
             let a = UBig::random_bits(&mut rng, abits);
             let b = UBig::random_bits(&mut rng, bbits);

@@ -180,12 +180,6 @@ impl UBig {
         None
     }
 
-    /// The low 64 bits.
-    #[inline]
-    pub fn low_u64(&self) -> u64 {
-        self.limbs.first().copied().unwrap_or(0)
-    }
-
     /// Converts to `u64` if the value fits.
     pub fn to_u64(&self) -> Option<u64> {
         match self.limbs.len() {

@@ -151,3 +151,51 @@ fn toom3_matches_schoolbook_large() {
     let b = UBig::random_bits(&mut rng, 64 * 280);
     assert_eq!(a.mul_toom3(&b), a.mul_schoolbook(&b));
 }
+
+/// `len` limbs whose top limb is nonzero, filled by `pattern`: random,
+/// runs of zero limbs between random ones, all ones, or a mix of zero,
+/// all-ones and random limbs.
+fn patterned_limbs(len: usize, pattern: u8, seed: u64) -> UBig {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut limbs: Vec<u64> = (0..len)
+        .map(|i| match pattern {
+            0 => rng.gen(),
+            1 if (i / 7) % 2 == 0 => 0,
+            1 => rng.gen(),
+            2 => u64::MAX,
+            _ => match rng.gen_range(0..3u32) {
+                0 => 0,
+                1 => u64::MAX,
+                _ => rng.gen(),
+            },
+        })
+        .collect();
+    if let Some(top) = limbs.last_mut() {
+        *top |= 1 << 63;
+    }
+    UBig::from_limbs(limbs)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// `*` picks its algorithm by the shorter operand and multiplies a
+    /// long one in short-sized blocks: every short side around both
+    /// thresholds, against long sides up to keygen's 12,264 × 25 shape.
+    #[test]
+    fn unbalanced_dispatch_matches_schoolbook(
+        short_index in 0usize..8,
+        long_len in 1usize..=12_300,
+        patterns in (0u8..4, 0u8..4),
+        seed in any::<u64>(),
+    ) {
+        let short_len = [1, 2, 31, 32, 33, 191, 192, 193][short_index];
+        let short = patterned_limbs(short_len, patterns.0, seed);
+        let long = patterned_limbs(long_len, patterns.1, seed ^ 0x5eed);
+        let expected = long.mul_schoolbook(&short);
+        prop_assert_eq!(&long * &short, expected.clone());
+        prop_assert_eq!(&short * &long, expected);
+    }
+}

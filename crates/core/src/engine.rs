@@ -262,11 +262,6 @@ impl<M: Multiplier> EvalEngine<M> {
         &self.backend
     }
 
-    /// Consumes the engine, returning the backend.
-    pub fn into_backend(self) -> M {
-        self.backend
-    }
-
     /// Captures an operand for reuse (see [`Multiplier::prepare`]).
     ///
     /// # Errors

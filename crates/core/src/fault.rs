@@ -233,11 +233,6 @@ impl<M> FaultyMultiplier<M> {
         &self.plan
     }
 
-    /// Batch calls seen so far (the counter the schedule runs on).
-    pub fn calls_seen(&self) -> u64 {
-        self.calls.load(Ordering::Relaxed)
-    }
-
     fn poisoned(&self, operand: &UBig) -> bool {
         self.plan.poison.as_ref() == Some(operand)
     }

@@ -14,8 +14,11 @@
 //! * [`ntt`] — radix-2, shift-kernel, mixed-radix and 64K transforms;
 //! * [`ssa`] — the Schönhage–Strassen multiplier (paper Section III);
 //! * [`hwsim`] — the cycle-level accelerator simulation and resource model
-//!   (paper Sections IV–V, Tables I–II, Figs. 1–5);
-//! * [`dghv`] — the DGHV encryption scheme the accelerator serves.
+//!   (paper Sections IV–V, Tables I–II, Figs. 1–5).
+//!
+//! The DGHV encryption scheme the accelerator serves is the `he-dghv`
+//! crate, a client of this one: its homomorphic AND takes any
+//! [`Multiplier`], a serving fleet included ([`ServedMultiplier`]).
 //!
 //! The repository-level `README.md` is the guided tour; `ARCHITECTURE.md`
 //! maps every paper component (FFT unit, dot unit, carry adder, host
@@ -76,7 +79,6 @@
 #![warn(missing_docs)]
 
 pub use he_bigint as bigint;
-pub use he_dghv as dghv;
 pub use he_field as field;
 pub use he_hwsim as hwsim;
 pub use he_ntt as ntt;
@@ -113,7 +115,6 @@ pub mod prelude {
         ServedMultiplier, ServerPool, SubmitError, Submitter,
     };
     pub use he_bigint::UBig;
-    pub use he_dghv::{CompressedKeyPair, DghvParams, KeyPair};
     pub use he_field::Fp;
     pub use he_hwsim::AcceleratorConfig;
     pub use he_ssa::SsaMultiplier;

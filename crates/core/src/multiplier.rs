@@ -399,11 +399,6 @@ impl HardwareSim {
         }
     }
 
-    /// Wraps an explicitly configured simulator.
-    pub fn from_sim(inner: AcceleratorSim) -> HardwareSim {
-        HardwareSim { inner }
-    }
-
     /// The underlying simulator.
     pub fn inner(&self) -> &AcceleratorSim {
         &self.inner

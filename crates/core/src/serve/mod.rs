@@ -60,8 +60,10 @@
 //! it deterministically in tests.
 //!
 //! [`ServedMultiplier`] closes the loop with the DGHV layer: it
-//! implements [`he_dghv::CiphertextMultiplier`] over any [`Submitter`],
-//! so circuit evaluation submits whole levels for the fleet to batch.
+//! implements [`Multiplier`](crate::Multiplier) over any [`Submitter`],
+//! so `he-dghv` circuit evaluation submits whole levels for the fleet to
+//! batch, and a closed or failing fleet comes back as a
+//! [`MultiplyError`](crate::MultiplyError) rather than a panic.
 //!
 //! # Example
 //!

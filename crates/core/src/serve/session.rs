@@ -7,13 +7,14 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use he_bigint::UBig;
-use he_dghv::{CiphertextMultiplier, PreparedFactor};
 use he_ntt::par::lock_or_recover;
 
 use super::cache::Key;
-use super::completion::{CompletionSink, ProductTicket, SubmitError, Submitter};
+use super::completion::{CompletionSink, ProductTicket, ServeError, SubmitError, Submitter};
 use super::pool::ServerPool;
 use super::queue::{held, PoolShared, ProductRequest};
+use crate::engine::ProductJob;
+use crate::multiplier::{Multiplier, MultiplyError};
 
 /// A per-client handle over a serving fleet: register a recurring
 /// operand **once**, then stream products against it by name.
@@ -179,67 +180,93 @@ impl Submitter for ClientSession {
     }
 }
 
-/// A [`CiphertextMultiplier`] that routes every homomorphic product
-/// through a serving front, so DGHV circuit evaluation (AND-trees,
-/// comparator sweeps, SIMD mask products) submits each level whole to
-/// the resident fleet (see `he_dghv::CircuitEvaluator::and_tree`).
+/// A [`Multiplier`] that routes every product through a serving front,
+/// so DGHV circuit evaluation (AND-trees, comparator sweeps, SIMD mask
+/// products) submits each level whole to the resident fleet (see
+/// `he_dghv::CircuitEvaluator::and_tree`).
 ///
 /// The fleet's caches make the recurring operands of those circuits
 /// (masks, accumulators) hit the cached-transform rungs without any
-/// preparation calls on this side; `prepare`d factors therefore keep only
-/// the raw value.
+/// preparation calls on this side, so [`Multiplier::prepare`] keeps the
+/// default raw handle.
 ///
-/// # Panics
-///
-/// Like the other sized backends (`SsaBackend`), products that exceed the
-/// engine's capacity panic — the DGHV layer guarantees ciphertexts fit the
-/// backend it was built for. Server shutdown mid-product also panics.
+/// Every failure is an error, never a panic: the fleet's backend error
+/// comes back as itself, and a closed front, an expired or quarantined
+/// job, or a refused submission comes back as
+/// [`MultiplyError::Device`] carrying the rendered serving error.
 #[derive(Debug)]
 pub struct ServedMultiplier<'a, S: Submitter = ServerPool> {
     server: &'a S,
 }
 
 impl<'a, S: Submitter> ServedMultiplier<'a, S> {
-    /// A DGHV backend view over a serving front.
+    /// A multiplier view over a serving front.
     pub fn new(server: &'a S) -> ServedMultiplier<'a, S> {
         ServedMultiplier { server }
     }
+
+    /// Submits one product; a refused submission is a device fault.
+    fn submit_pair(&self, a: &UBig, b: &UBig) -> Result<ProductTicket, MultiplyError> {
+        self.server
+            .submit(ProductRequest::new(a.clone(), b.clone()))
+            .map_err(|e| MultiplyError::Device(e.to_string()))
+    }
 }
 
-impl<S: Submitter> CiphertextMultiplier for ServedMultiplier<'_, S> {
-    fn multiply(&self, a: &UBig, b: &UBig) -> UBig {
-        self.multiply_pairs(&[(a, b)])
-            .pop()
-            .expect("one product per pair")
+/// The backend error a served product failed with, or the serving
+/// failure rendered as a device fault.
+fn served_error(e: ServeError) -> MultiplyError {
+    match e {
+        ServeError::Multiply(e) => e,
+        other => MultiplyError::Device(other.to_string()),
     }
+}
 
-    fn multiply_pairs(&self, pairs: &[(&UBig, &UBig)]) -> Vec<UBig> {
-        // Submit the whole level, then collect: the fleet micro-batches
-        // the stream, so independent gates of one circuit level share
-        // flushes (and the cached transforms of recurring operands).
-        let tickets: Vec<ProductTicket> = pairs
-            .iter()
-            .map(|(a, b)| {
-                self.server
-                    .submit(ProductRequest::new((*a).clone(), (*b).clone()))
-                    .expect("product server closed")
-            })
-            .collect();
-        tickets
-            .into_iter()
-            .map(|t| t.wait().expect("served product failed"))
-            .collect()
-    }
-
-    fn multiply_prepared_many(&self, a: &PreparedFactor, bs: &[&UBig]) -> Vec<UBig> {
-        // The fleet's own caches are the preparation layer here;
-        // submitting raw pairs lets it reuse the recurring factor's
-        // spectrum across the whole sweep.
-        let pairs: Vec<(&UBig, &UBig)> = bs.iter().map(|b| (a.raw(), *b)).collect();
-        self.multiply_pairs(&pairs)
+impl<S: Submitter> Multiplier for ServedMultiplier<'_, S> {
+    fn multiply(&self, a: &UBig, b: &UBig) -> Result<UBig, MultiplyError> {
+        self.submit_pair(a, b)?.wait().map_err(served_error)
     }
 
     fn name(&self) -> &'static str {
         "served-engine"
+    }
+
+    fn multiply_batch_into(
+        &self,
+        jobs: &[ProductJob<'_>],
+        out: &mut [UBig],
+    ) -> Result<(), MultiplyError> {
+        assert_eq!(
+            jobs.len(),
+            out.len(),
+            "one result slot per job ({} jobs, {} slots)",
+            jobs.len(),
+            out.len()
+        );
+        // Check every handle before the first submission, then submit
+        // the whole level and collect: the fleet micro-batches the
+        // stream, so independent gates of one circuit level share
+        // flushes (and the cached transforms of recurring operands).
+        let provenance = self.provenance();
+        let pairs = jobs
+            .iter()
+            .map(|job| {
+                Ok(match *job {
+                    ProductJob::Prepared(a, b) => {
+                        (a.raw_checked(provenance)?, b.raw_checked(provenance)?)
+                    }
+                    ProductJob::OnePrepared(a, b) => (a.raw_checked(provenance)?, b),
+                    ProductJob::Raw(a, b) => (a, b),
+                })
+            })
+            .collect::<Result<Vec<_>, MultiplyError>>()?;
+        let tickets = pairs
+            .into_iter()
+            .map(|(a, b)| self.submit_pair(a, b))
+            .collect::<Result<Vec<_>, _>>()?;
+        for (ticket, slot) in tickets.into_iter().zip(out.iter_mut()) {
+            *slot = ticket.wait().map_err(served_error)?;
+        }
+        Ok(())
     }
 }

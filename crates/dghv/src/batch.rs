@@ -14,11 +14,12 @@
 //! `c = CRT(m_0 + 2r_0, …, m_{k−1} + 2r_{k−1}) + π·q`, where `CRT`
 //! lifts the per-slot residues to `[0, π)`.
 
+use he_accel::{Multiplier, ProductJob};
 use he_bigint::UBig;
 use rand::Rng;
 
 use crate::error::DghvError;
-use crate::multiplier::CiphertextMultiplier;
+use crate::keys::products_against;
 use crate::params::DghvParams;
 
 /// Parameters of the batched scheme.
@@ -200,8 +201,9 @@ impl BatchSecretKey {
     /// # Errors
     ///
     /// Returns [`DghvError::NoiseBudgetExhausted`] if a slot's noise would
-    /// reach its ceiling.
-    pub fn mul<M: CiphertextMultiplier>(
+    /// reach its ceiling, and [`DghvError::Multiply`] if the backend fails
+    /// the product.
+    pub fn mul<M: Multiplier + ?Sized>(
         &self,
         backend: &M,
         a: &BatchCiphertext,
@@ -217,7 +219,7 @@ impl BatchSecretKey {
         // The `_into` form lets pooled backends (SSA) keep the 786,432-bit
         // product pipeline allocation-free.
         let mut value = UBig::zero();
-        backend.multiply_into(a.value(), b.value(), &mut value);
+        backend.multiply_job_into(&ProductJob::Raw(a.value(), b.value()), &mut value)?;
         Ok(BatchCiphertext {
             value,
             noise_bits: would_be,
@@ -228,14 +230,15 @@ impl BatchSecretKey {
     /// server shape the accelerator targets: `slots × others.len()`
     /// plaintext ANDs ride on `others.len()` big-integer products, and the
     /// recurring operand's forward transform is paid **once** for the
-    /// batch ([`CiphertextMultiplier::prepare`]).
+    /// batch ([`Multiplier::prepare`]).
     ///
     /// # Errors
     ///
     /// Returns [`DghvError::NoiseBudgetExhausted`] if any pairing would
     /// reach a slot's noise ceiling; checked for the whole batch before
-    /// any product runs.
-    pub fn mul_many<M: CiphertextMultiplier>(
+    /// any product runs. Returns [`DghvError::Multiply`] if the backend
+    /// fails the preparation or any product.
+    pub fn mul_many<M: Multiplier + ?Sized>(
         &self,
         backend: &M,
         a: &BatchCiphertext,
@@ -254,16 +257,14 @@ impl BatchSecretKey {
                 });
             }
         }
-        let prepared = backend.prepare(a.value());
+        let values: Vec<&UBig> = others.iter().map(BatchCiphertext::value).collect();
+        let products = products_against(backend, a.value(), &values)?;
         Ok(others
             .iter()
-            .map(|b| {
-                let mut value = UBig::zero();
-                backend.multiply_prepared_into(&prepared, b.value(), &mut value);
-                BatchCiphertext {
-                    value,
-                    noise_bits: a.noise_bits + b.noise_bits + 1,
-                }
+            .zip(products)
+            .map(|(b, value)| BatchCiphertext {
+                value,
+                noise_bits: a.noise_bits + b.noise_bits + 1,
             })
             .collect())
     }
@@ -272,7 +273,7 @@ impl BatchSecretKey {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multiplier::KaratsubaBackend;
+    use he_accel::{Karatsuba, SsaSoftware};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -322,7 +323,7 @@ mod tests {
         let b = [true, true, false, true];
         let ca = key.encrypt(&a, &mut rng);
         let cb = key.encrypt(&b, &mut rng);
-        let product = key.mul(&KaratsubaBackend, &ca, &cb).unwrap();
+        let product = key.mul(&Karatsuba, &ca, &cb).unwrap();
         let expected: Vec<bool> = a.iter().zip(&b).map(|(x, y)| x & y).collect();
         assert_eq!(key.decrypt(&product), expected);
     }
@@ -337,7 +338,7 @@ mod tests {
         let ca = key.encrypt(&a, &mut rng);
         let cb = key.encrypt(&b, &mut rng);
         let cc = key.encrypt(&c, &mut rng);
-        let ab = key.mul(&KaratsubaBackend, &ca, &cb).unwrap();
+        let ab = key.mul(&Karatsuba, &ca, &cb).unwrap();
         let out = key.add(&ab, &cc);
         let expected: Vec<bool> = (0..4).map(|i| (a[i] & b[i]) ^ c[i]).collect();
         assert_eq!(key.decrypt(&out), expected);
@@ -354,10 +355,10 @@ mod tests {
             [true, false, false, true],
         ];
         let cts: Vec<BatchCiphertext> = inputs.iter().map(|v| key.encrypt(v, &mut rng)).collect();
-        let batch = key.mul_many(&KaratsubaBackend, &cmask, &cts).unwrap();
+        let batch = key.mul_many(&Karatsuba, &cmask, &cts).unwrap();
         assert_eq!(batch.len(), cts.len());
         for ((product, ct), bits) in batch.iter().zip(&cts).zip(&inputs) {
-            let single = key.mul(&KaratsubaBackend, &cmask, ct).unwrap();
+            let single = key.mul(&Karatsuba, &cmask, ct).unwrap();
             assert_eq!(product.value(), single.value());
             assert_eq!(product.noise_bits(), single.noise_bits());
             let expected: Vec<bool> = mask.iter().zip(bits).map(|(m, b)| m & b).collect();
@@ -369,11 +370,11 @@ mod tests {
     fn mul_many_uses_the_cached_spectrum_on_ssa() {
         let (key, mut rng) = setup(8);
         let gamma = key.params().base.gamma;
-        let backend = crate::multiplier::SsaBackend::for_gamma(gamma);
+        let backend = SsaSoftware::for_operand_bits(gamma as usize).unwrap();
         let a = key.encrypt(&[true, true, false, true], &mut rng);
         let bs: Vec<BatchCiphertext> = (0..3).map(|_| key.encrypt(&[true; 4], &mut rng)).collect();
         let cached = key.mul_many(&backend, &a, &bs).unwrap();
-        let plain = key.mul_many(&KaratsubaBackend, &a, &bs).unwrap();
+        let plain = key.mul_many(&Karatsuba, &a, &bs).unwrap();
         assert_eq!(cached, plain, "cached batch must be bit-exact");
     }
 
@@ -382,18 +383,15 @@ mod tests {
         let (key, mut rng) = setup(9);
         let mut noisy = key.encrypt(&[true; 4], &mut rng);
         let fresh = key.encrypt(&[true; 4], &mut rng);
-        while let Ok(next) = key.mul(&KaratsubaBackend, &noisy, &fresh) {
+        while let Ok(next) = key.mul(&Karatsuba, &noisy, &fresh) {
             noisy = next;
         }
         let err = key
-            .mul_many(&KaratsubaBackend, &noisy, std::slice::from_ref(&fresh))
+            .mul_many(&Karatsuba, &noisy, std::slice::from_ref(&fresh))
             .unwrap_err();
         assert!(matches!(err, DghvError::NoiseBudgetExhausted { .. }));
         // An empty batch is trivially fine.
-        assert!(key
-            .mul_many(&KaratsubaBackend, &fresh, &[])
-            .unwrap()
-            .is_empty());
+        assert!(key.mul_many(&Karatsuba, &fresh, &[]).unwrap().is_empty());
     }
 
     #[test]
@@ -411,7 +409,7 @@ mod tests {
         let mut acc = key.encrypt(&[true; 4], &mut rng);
         let other = key.encrypt(&[true; 4], &mut rng);
         for _ in 0..20 {
-            match key.mul(&KaratsubaBackend, &acc, &other) {
+            match key.mul(&Karatsuba, &acc, &other) {
                 Ok(next) => {
                     assert_eq!(key.decrypt(&next), vec![true; 4]);
                     acc = next;

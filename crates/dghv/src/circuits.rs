@@ -6,20 +6,23 @@
 //! encrypted bit-vectors — a concrete "computation on encrypted data"
 //! workload of the kind the paper's introduction motivates.
 
+use he_accel::Multiplier;
 use rand::Rng;
 
 use crate::ciphertext::Ciphertext;
 use crate::error::DghvError;
 use crate::keys::PublicKey;
-use crate::multiplier::CiphertextMultiplier;
 
 /// A gate evaluator bound to a public key and a multiplication backend.
-pub struct CircuitEvaluator<'a, M: CiphertextMultiplier> {
+///
+/// Every gate that multiplies also fails with [`DghvError::Multiply`]
+/// when the backend fails a product.
+pub struct CircuitEvaluator<'a, M: Multiplier + ?Sized> {
     public_key: &'a PublicKey,
     backend: &'a M,
 }
 
-impl<'a, M: CiphertextMultiplier> CircuitEvaluator<'a, M> {
+impl<'a, M: Multiplier + ?Sized> CircuitEvaluator<'a, M> {
     /// Creates an evaluator.
     pub fn new(public_key: &'a PublicKey, backend: &'a M) -> CircuitEvaluator<'a, M> {
         CircuitEvaluator {
@@ -344,8 +347,8 @@ pub fn decrypt_number(sk: &crate::keys::SecretKey, bits: &[Ciphertext]) -> u64 {
 mod tests {
     use super::*;
     use crate::keys::KeyPair;
-    use crate::multiplier::KaratsubaBackend;
     use crate::params::DghvParams;
+    use he_accel::{Karatsuba, SsaSoftware};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -358,7 +361,7 @@ mod tests {
     #[test]
     fn gate_truth_tables() {
         let (keys, mut rng) = setup(50);
-        let backend = KaratsubaBackend;
+        let backend = Karatsuba;
         let eval = CircuitEvaluator::new(keys.public(), &backend);
         for a in [false, true] {
             for b in [false, true] {
@@ -375,7 +378,7 @@ mod tests {
     #[test]
     fn full_adder_truth_table() {
         let (keys, mut rng) = setup(51);
-        let backend = KaratsubaBackend;
+        let backend = Karatsuba;
         let eval = CircuitEvaluator::new(keys.public(), &backend);
         for a in [false, true] {
             for b in [false, true] {
@@ -395,7 +398,7 @@ mod tests {
     #[test]
     fn two_bit_encrypted_addition_exhaustive() {
         let (keys, mut rng) = setup(52);
-        let backend = KaratsubaBackend;
+        let backend = Karatsuba;
         let eval = CircuitEvaluator::new(keys.public(), &backend);
         for x in 0u64..4 {
             for y in 0u64..4 {
@@ -419,7 +422,7 @@ mod tests {
     #[test]
     fn xnor_and_mux_truth_tables() {
         let (keys, mut rng) = setup(55);
-        let backend = KaratsubaBackend;
+        let backend = Karatsuba;
         let eval = CircuitEvaluator::new(keys.public(), &backend);
         for a in [false, true] {
             for b in [false, true] {
@@ -445,7 +448,7 @@ mod tests {
     #[test]
     fn and_many_matches_single_ands() {
         let (keys, mut rng) = setup(61);
-        let backend = KaratsubaBackend;
+        let backend = Karatsuba;
         let eval = CircuitEvaluator::new(keys.public(), &backend);
         for a in [false, true] {
             let ca = keys.public().encrypt(a, &mut rng);
@@ -464,7 +467,7 @@ mod tests {
     #[test]
     fn mux_many_selects_whole_vectors() {
         let (keys, mut rng) = setup(62);
-        let backend = KaratsubaBackend;
+        let backend = Karatsuba;
         let eval = CircuitEvaluator::new(keys.public(), &backend);
         for (x, y) in [(5u64, 10u64), (0, 7), (3, 3)] {
             let ex = encrypt_number(keys.public(), x, 4, &mut rng);
@@ -489,7 +492,7 @@ mod tests {
     #[test]
     fn and_tree_matches_sequential_ands() {
         let (keys, mut rng) = setup(63);
-        let backend = KaratsubaBackend;
+        let backend = Karatsuba;
         let eval = CircuitEvaluator::new(keys.public(), &backend);
         for value in 0u64..16 {
             let bits: Vec<bool> = (0..4).map(|i| value >> i & 1 == 1).collect();
@@ -520,8 +523,8 @@ mod tests {
     #[test]
     fn and_pairs_matches_scalar_ands_on_batched_backends() {
         let (keys, mut rng) = setup(64);
-        let karatsuba = KaratsubaBackend;
-        let ssa = crate::multiplier::SsaBackend::for_gamma(keys.public().params().gamma);
+        let karatsuba = Karatsuba;
+        let ssa = SsaSoftware::for_operand_bits(keys.public().params().gamma as usize).unwrap();
         let bits = [(true, true), (true, false), (false, true), (false, false)];
         let cts: Vec<(Ciphertext, Ciphertext)> = bits
             .iter()
@@ -549,7 +552,7 @@ mod tests {
     #[test]
     fn equality_exhaustive_three_bits() {
         let (keys, mut rng) = setup(56);
-        let backend = KaratsubaBackend;
+        let backend = Karatsuba;
         let eval = CircuitEvaluator::new(keys.public(), &backend);
         for x in 0u64..8 {
             for y in 0u64..8 {
@@ -564,7 +567,7 @@ mod tests {
     #[test]
     fn less_than_exhaustive_three_bits() {
         let (keys, mut rng) = setup(57);
-        let backend = KaratsubaBackend;
+        let backend = Karatsuba;
         let eval = CircuitEvaluator::new(keys.public(), &backend);
         for x in 0u64..8 {
             for y in 0u64..8 {
@@ -581,7 +584,7 @@ mod tests {
         // The less_than chain must survive more bits than the
         // multiplicative depth (2 at tiny) would allow if noise doubled.
         let (keys, mut rng) = setup(58);
-        let backend = KaratsubaBackend;
+        let backend = Karatsuba;
         let eval = CircuitEvaluator::new(keys.public(), &backend);
         let width = 4u32;
         let ex = encrypt_number(keys.public(), 9, width, &mut rng);
@@ -596,7 +599,7 @@ mod tests {
         // max(x, y) selected bitwise without decrypting: the cloud-side
         // "financial computing" pattern from the paper's introduction.
         let (keys, mut rng) = setup(59);
-        let backend = KaratsubaBackend;
+        let backend = Karatsuba;
         let eval = CircuitEvaluator::new(keys.public(), &backend);
         for (x, y) in [(2u64, 5u64), (5, 2), (3, 3), (0, 7)] {
             let ex = encrypt_number(keys.public(), x, 3, &mut rng);
@@ -618,7 +621,7 @@ mod tests {
     #[test]
     fn equality_single_bit_and_mismatch_panics() {
         let (keys, mut rng) = setup(60);
-        let backend = KaratsubaBackend;
+        let backend = Karatsuba;
         let eval = CircuitEvaluator::new(keys.public(), &backend);
         let a = encrypt_number(keys.public(), 1, 1, &mut rng);
         let b = encrypt_number(keys.public(), 1, 1, &mut rng);
@@ -635,7 +638,7 @@ mod tests {
     #[test]
     fn mismatched_widths_panic() {
         let (keys, mut rng) = setup(54);
-        let backend = KaratsubaBackend;
+        let backend = Karatsuba;
         let eval = CircuitEvaluator::new(keys.public(), &backend);
         let a = encrypt_number(keys.public(), 1, 2, &mut rng);
         let b = encrypt_number(keys.public(), 1, 3, &mut rng);

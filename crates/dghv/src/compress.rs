@@ -192,7 +192,7 @@ impl CompressedPublicKey {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multiplier::KaratsubaBackend;
+    use he_accel::Karatsuba;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -284,7 +284,7 @@ mod tests {
         let keys = pair(8);
         let public = keys.compressed().expand();
         let mut rng = StdRng::seed_from_u64(9);
-        let backend = KaratsubaBackend;
+        let backend = Karatsuba;
         for a in [false, true] {
             for b in [false, true] {
                 let ca = public.encrypt(a, &mut rng);

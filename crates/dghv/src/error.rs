@@ -2,7 +2,10 @@
 
 use core::fmt;
 
-/// Error from parameter validation or key generation.
+use he_accel::MultiplyError;
+
+/// Error from parameter validation, key generation or a homomorphic
+/// product's backend.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DghvError {
     /// The parameter set violates a scheme constraint.
@@ -18,6 +21,9 @@ pub enum DghvError {
         /// The ceiling allowed by the parameters.
         ceiling_bits: u32,
     },
+    /// The multiplication backend failed the product (capacity, a foreign
+    /// operand handle, a closed or faulty serving front).
+    Multiply(MultiplyError),
 }
 
 impl fmt::Display for DghvError {
@@ -30,8 +36,22 @@ impl fmt::Display for DghvError {
                 f,
                 "noise budget exhausted: operation would reach {would_be_bits} bits, ceiling is {ceiling_bits}"
             ),
+            DghvError::Multiply(e) => write!(f, "ciphertext product failed: {e}"),
         }
     }
 }
 
-impl std::error::Error for DghvError {}
+impl std::error::Error for DghvError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            DghvError::Multiply(e) => Some(e),
+            DghvError::InvalidParams { .. } | DghvError::NoiseBudgetExhausted { .. } => None,
+        }
+    }
+}
+
+impl From<MultiplyError> for DghvError {
+    fn from(e: MultiplyError) -> DghvError {
+        DghvError::Multiply(e)
+    }
+}

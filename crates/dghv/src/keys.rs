@@ -1,12 +1,30 @@
 //! Key generation, encryption, decryption, and homomorphic evaluation.
 
+use he_accel::{Multiplier, MultiplyError, ProductJob};
 use he_bigint::{BarrettReducer, UBig};
 use rand::Rng;
 
 use crate::ciphertext::Ciphertext;
 use crate::error::DghvError;
-use crate::multiplier::CiphertextMultiplier;
 use crate::params::DghvParams;
+
+/// `a · b` for every `b`, with `a` prepared **once** (on a caching
+/// backend its forward transform is paid a single time) and the whole
+/// sweep run as one batch.
+pub(crate) fn products_against<M: Multiplier + ?Sized>(
+    backend: &M,
+    a: &UBig,
+    bs: &[&UBig],
+) -> Result<Vec<UBig>, MultiplyError> {
+    let prepared = backend.prepare(a)?;
+    let jobs: Vec<ProductJob<'_>> = bs
+        .iter()
+        .map(|&b| ProductJob::OnePrepared(&prepared, b))
+        .collect();
+    let mut products = vec![UBig::zero(); jobs.len()];
+    backend.multiply_batch_into(&jobs, &mut products)?;
+    Ok(products)
+}
 
 /// The secret key: an odd η-bit integer `p`.
 #[derive(Debug, Clone)]
@@ -206,8 +224,9 @@ impl PublicKey {
     /// # Errors
     ///
     /// Returns [`DghvError::NoiseBudgetExhausted`] if the product's noise
-    /// estimate would reach the decryption ceiling.
-    pub fn mul<M: CiphertextMultiplier>(
+    /// estimate would reach the decryption ceiling, and
+    /// [`DghvError::Multiply`] if the backend fails the product.
+    pub fn mul<M: Multiplier + ?Sized>(
         &self,
         backend: &M,
         a: &Ciphertext,
@@ -221,7 +240,7 @@ impl PublicKey {
             });
         }
         let mut product = UBig::zero();
-        backend.multiply_into(a.value(), b.value(), &mut product);
+        backend.multiply_job_into(&ProductJob::Raw(a.value(), b.value()), &mut product)?;
         Ok(Ciphertext::new(self.reducer.reduce(&product), would_be))
     }
 
@@ -236,8 +255,9 @@ impl PublicKey {
     /// Returns [`DghvError::NoiseBudgetExhausted`] if any pairing would
     /// reach the noise ceiling; the check runs for the whole batch before
     /// any product is computed, so the expensive work never starts on a
-    /// doomed batch.
-    pub fn mul_many<M: CiphertextMultiplier>(
+    /// doomed batch. Returns [`DghvError::Multiply`] if the backend fails
+    /// the preparation or any product.
+    pub fn mul_many<M: Multiplier + ?Sized>(
         &self,
         backend: &M,
         a: &Ciphertext,
@@ -256,9 +276,8 @@ impl PublicKey {
                 });
             }
         }
-        let prepared = backend.prepare(a.value());
         let values: Vec<&UBig> = others.iter().map(Ciphertext::value).collect();
-        let products = backend.multiply_prepared_many(&prepared, &values);
+        let products = products_against(backend, a.value(), &values)?;
         Ok(others
             .iter()
             .zip(products)
@@ -272,17 +291,17 @@ impl PublicKey {
     }
 
     /// Homomorphic AND of many independent pairs as **one batch**: the
-    /// whole slice goes through
-    /// [`CiphertextMultiplier::multiply_pairs`], so batch-capable
-    /// backends (the SSA sharded batch, a served engine) schedule a whole
-    /// circuit level at once instead of gate by gate.
+    /// whole slice goes through [`Multiplier::multiply_batch_into`], so
+    /// batch-capable backends (the SSA sharded batch, a served engine)
+    /// schedule a whole circuit level at once instead of gate by gate.
     ///
     /// # Errors
     ///
     /// Returns [`DghvError::NoiseBudgetExhausted`] if any pairing would
     /// reach the noise ceiling; the check runs for the whole batch before
-    /// any product is computed.
-    pub fn mul_pairs<M: CiphertextMultiplier>(
+    /// any product is computed. Returns [`DghvError::Multiply`] if the
+    /// backend fails any product.
+    pub fn mul_pairs<M: Multiplier + ?Sized>(
         &self,
         backend: &M,
         pairs: &[(&Ciphertext, &Ciphertext)],
@@ -296,9 +315,12 @@ impl PublicKey {
                 });
             }
         }
-        let values: Vec<(&UBig, &UBig)> =
-            pairs.iter().map(|(a, b)| (a.value(), b.value())).collect();
-        let products = backend.multiply_pairs(&values);
+        let jobs: Vec<ProductJob<'_>> = pairs
+            .iter()
+            .map(|(a, b)| ProductJob::Raw(a.value(), b.value()))
+            .collect();
+        let mut products = vec![UBig::zero(); jobs.len()];
+        backend.multiply_batch_into(&jobs, &mut products)?;
         Ok(pairs
             .iter()
             .zip(products)
@@ -315,7 +337,7 @@ impl PublicKey {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multiplier::KaratsubaBackend;
+    use he_accel::{Karatsuba, SsaSoftware};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -372,7 +394,7 @@ mod tests {
     fn homomorphic_and_truth_table() {
         let keys = keys(7);
         let mut rng = StdRng::seed_from_u64(8);
-        let backend = KaratsubaBackend;
+        let backend = Karatsuba;
         for a in [false, true] {
             for b in [false, true] {
                 let ca = keys.public().encrypt(a, &mut rng);
@@ -387,7 +409,7 @@ mod tests {
     fn mul_many_matches_individual_muls() {
         let keys = keys(21);
         let mut rng = StdRng::seed_from_u64(22);
-        let backend = KaratsubaBackend;
+        let backend = Karatsuba;
         let a = keys.public().encrypt(true, &mut rng);
         let bits = [true, false, true];
         let cts: Vec<Ciphertext> = bits
@@ -402,7 +424,7 @@ mod tests {
             assert_eq!(keys.secret().decrypt(product), b);
         }
         // The cached SSA backend is bit-exact against the classical one.
-        let ssa = crate::multiplier::SsaBackend::for_gamma(keys.public().params().gamma);
+        let ssa = SsaSoftware::for_operand_bits(keys.public().params().gamma as usize).unwrap();
         let cached = keys.public().mul_many(&ssa, &a, &cts).unwrap();
         for (x, y) in cached.iter().zip(&batch) {
             assert_eq!(x.value(), y.value());
@@ -421,7 +443,7 @@ mod tests {
             "{actual_fresh} vs {}",
             ca.noise_bits()
         );
-        let product = keys.public().mul(&KaratsubaBackend, &ca, &cb).unwrap();
+        let product = keys.public().mul(&Karatsuba, &ca, &cb).unwrap();
         let (_, actual_prod) = keys.secret().decrypt_with_noise(&product);
         assert!(actual_prod <= product.noise_bits());
     }
@@ -430,7 +452,7 @@ mod tests {
     fn noise_budget_exhaustion_detected() {
         let keys = keys(11);
         let mut rng = StdRng::seed_from_u64(12);
-        let backend = KaratsubaBackend;
+        let backend = Karatsuba;
         let mut acc = keys.public().encrypt(true, &mut rng);
         let other = keys.public().encrypt(true, &mut rng);
         // Square until the budget runs out; the error must fire before

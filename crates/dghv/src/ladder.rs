@@ -145,7 +145,7 @@ impl ModulusLadder {
 mod tests {
     use super::*;
     use crate::keys::KeyPair;
-    use crate::multiplier::KaratsubaBackend;
+    use he_accel::Karatsuba;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -181,7 +181,7 @@ mod tests {
     #[test]
     fn compression_preserves_evaluated_results() {
         let (keys, ladder, mut rng) = setup(3);
-        let backend = KaratsubaBackend;
+        let backend = Karatsuba;
         for a in [false, true] {
             for b in [false, true] {
                 let ca = keys.public().encrypt(a, &mut rng);

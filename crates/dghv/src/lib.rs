@@ -17,9 +17,12 @@
 //!
 //! Ciphertexts are γ-bit integers; homomorphic multiplication multiplies
 //! two of them — exactly the 786,432-bit products the accelerator performs.
-//! The multiplication backend is pluggable ([`CiphertextMultiplier`]) so the
-//! scheme can run on the classical algorithms, the software SSA, or the
-//! hardware simulator.
+//! Every homomorphic AND takes its backend as an
+//! [`he_accel::Multiplier`] — the accelerator's one product interface —
+//! so the scheme runs unchanged on the classical algorithms, the software
+//! SSA, the hardware simulator, or a serving fleet
+//! ([`he_accel::ServedMultiplier`]); a backend failure surfaces as
+//! [`DghvError::Multiply`].
 //!
 //! # Example
 //!
@@ -46,7 +49,6 @@ mod compress;
 mod error;
 mod keys;
 mod ladder;
-mod multiplier;
 mod params;
 mod serialize;
 
@@ -56,7 +58,4 @@ pub use compress::{CompressedKeyPair, CompressedPublicKey};
 pub use error::DghvError;
 pub use keys::{KeyPair, PublicKey, SecretKey};
 pub use ladder::ModulusLadder;
-pub use multiplier::{
-    CiphertextMultiplier, KaratsubaBackend, PreparedFactor, SchoolbookBackend, SsaBackend,
-};
 pub use params::DghvParams;

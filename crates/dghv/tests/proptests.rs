@@ -1,7 +1,8 @@
 //! Property-based tests: homomorphic identities of the DGHV scheme under
 //! random messages and randomness seeds.
 
-use he_dghv::{DghvParams, KaratsubaBackend, KeyPair};
+use he_accel::Karatsuba;
+use he_dghv::{DghvParams, KeyPair};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -37,7 +38,7 @@ proptest! {
         let keys = KeyPair::generate(DghvParams::tiny(), &mut rng).unwrap();
         let ca = keys.public().encrypt(a, &mut rng);
         let cb = keys.public().encrypt(b, &mut rng);
-        let product = keys.public().mul(&KaratsubaBackend, &ca, &cb).unwrap();
+        let product = keys.public().mul(&Karatsuba, &ca, &cb).unwrap();
         prop_assert_eq!(keys.secret().decrypt(&product), a & b);
     }
 
@@ -51,7 +52,7 @@ proptest! {
             keys.public().encrypt(b, &mut rng),
             keys.public().encrypt(c, &mut rng),
         );
-        let backend = KaratsubaBackend;
+        let backend = Karatsuba;
         let ab = keys.public().mul(&backend, &ca, &cb).unwrap();
         let ac = keys.public().mul(&backend, &ca, &cc).unwrap();
         let bc = keys.public().mul(&backend, &cb, &cc).unwrap();

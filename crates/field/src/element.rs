@@ -99,12 +99,6 @@ impl Fp {
         Fp(value)
     }
 
-    /// Creates an element by fully reducing a 128-bit value with Eq. 4.
-    #[inline]
-    pub fn from_u128(value: u128) -> Fp {
-        Fp(reduce::reduce128(value))
-    }
-
     /// The canonical residue in `[0, p)`.
     #[inline]
     pub const fn as_u64(self) -> u64 {

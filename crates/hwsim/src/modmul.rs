@@ -49,12 +49,6 @@ impl DspModMul {
         8
     }
 
-    /// Pipeline latency in cycles (partials, two alignment adds, Eq. 4,
-    /// AddMod); throughput is one product per cycle.
-    pub const fn latency_cycles() -> u64 {
-        6
-    }
-
     /// The four 32×32 tiles of `a·b`.
     pub fn partial_products(&self, a: Fp, b: Fp) -> Vec<PartialProduct> {
         let (a0, a1) = (a.as_u64() as u32 as u64, a.as_u64() >> 32);

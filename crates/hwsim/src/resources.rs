@@ -312,22 +312,6 @@ impl ResourceReport {
     pub fn bram_mbit(&self) -> f64 {
         self.bram_bits as f64 / (1024.0 * 1024.0)
     }
-
-    /// Renders one Table-I style column against a device.
-    pub fn render_against(&self, device: &FpgaDevice) -> String {
-        format!(
-            "{}\n  ALMs       {:>8}  ({:>4.0}%)\n  Registers  {:>8}  ({:>4.0}%)\n  DSP blocks {:>8}  ({:>4.0}%)\n  M20K SRAM  {:>7.1}Mb ({:>4.0}%)\n",
-            self.name,
-            self.alms,
-            device.utilization_pct(self.alms, device.alms),
-            self.registers,
-            device.utilization_pct(self.registers, device.registers),
-            self.dsp_blocks,
-            device.utilization_pct(self.dsp_blocks, device.dsp_blocks),
-            self.bram_mbit(),
-            device.utilization_pct(self.bram_bits, device.bram_bits()),
-        )
-    }
 }
 
 /// Primitive inventory of a single PE: one optimized FFT-64 unit, 8

@@ -347,10 +347,10 @@ fn sweep_cancels(shared: &Arc<Shared>, epoch: u64) {
 ///
 /// `NetSession` implements [`Submitter`], so everything built on that
 /// trait — [`he_accel::CompletionQueue`] reactors,
-/// [`he_accel::ServedMultiplier`], every DGHV circuit — runs over the
-/// wire unchanged. Its session surface mirrors
-/// [`he_accel::ClientSession`]: [`NetSession::register`] pins an operand
-/// on the far fleet (the operand's bytes cross the wire **once**;
+/// [`he_accel::ServedMultiplier`] and every `he-dghv` circuit run on
+/// that `Multiplier` — runs over the wire unchanged. Its session surface
+/// mirrors [`he_accel::ClientSession`]: [`NetSession::register`] pins an
+/// operand on the far fleet (the operand's bytes cross the wire **once**;
 /// subsequent [`NetSession::submit_with`] submissions reference it by
 /// 8-byte id and resolve from the cards' pinned caches, visible in
 /// [`ServeStats::pinned_hits`] through [`NetSession::stats`]).

@@ -15,8 +15,9 @@
 //!   Unix domain socket, one reader + writer reactor pair per
 //!   connection.
 //! - [`NetSession`] — the remote client. It implements
-//!   [`he_accel::Submitter`], so [`he_accel::ServedMultiplier`] and
-//!   every DGHV circuit built on it run over the wire unchanged, and it
+//!   [`he_accel::Submitter`], so [`he_accel::ServedMultiplier`] — a
+//!   [`he_accel::Multiplier`] — and every `he-dghv` circuit run on it
+//!   go over the wire unchanged, and it
 //!   mirrors [`he_accel::ClientSession`]'s pinning surface —
 //!   re-registering pins automatically when a lost connection is
 //!   re-dialed.
@@ -36,7 +37,7 @@
 //! let ticket = session.submit(ProductRequest::new(UBig::from(3u64), UBig::from(5u64)))?;
 //! assert_eq!(ticket.wait().expect("served"), UBig::from(15u64));
 //!
-//! let _multiplier = ServedMultiplier::new(&session); // DGHV circuits go here
+//! let _multiplier = ServedMultiplier::new(&session); // a Multiplier: DGHV circuits go here
 //! server.shutdown();
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```

@@ -69,10 +69,7 @@ fn fixture(seed: u64) -> Fixture {
 
 /// Runs both circuits through `backend`, returning the AND-tree root and
 /// the mux output vector.
-fn run_circuits<M: he_dghv::CiphertextMultiplier>(
-    fx: &Fixture,
-    backend: &M,
-) -> (Ciphertext, Vec<Ciphertext>) {
+fn run_circuits<M: Multiplier>(fx: &Fixture, backend: &M) -> (Ciphertext, Vec<Ciphertext>) {
     let eval = CircuitEvaluator::new(fx.keys.public(), backend);
     let root = eval.and_tree(&fx.cts).expect("and_tree within budget");
     let muxed = eval

@@ -11,11 +11,12 @@
 //! the server selects the winning bid with an encrypted comparator and
 //! bitwise multiplexers — it never learns either amount.
 //!
-//! Run with: `cargo run --release -p he-accel --example dghv_cloud_demo`
+//! Run with: `cargo run --release --example dghv_cloud_demo`
 
-use he_accel::dghv::{
+use he_accel::SsaSoftware;
+use he_dghv::{
     circuits::{decrypt_number, encrypt_number},
-    Ciphertext, CircuitEvaluator, DghvError, DghvParams, KeyPair, PublicKey, SsaBackend,
+    Ciphertext, CircuitEvaluator, DghvError, DghvParams, KeyPair, PublicKey,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -24,7 +25,7 @@ use rand::SeedableRng;
 /// `maj(a,b,c) = ab ⊕ ac ⊕ bc` — three homomorphic ANDs, two XORs.
 fn tally_majority(
     pk: &PublicKey,
-    backend: &SsaBackend,
+    backend: &SsaSoftware,
     votes: &[Ciphertext; 3],
 ) -> Result<Ciphertext, DghvError> {
     let gates = CircuitEvaluator::new(pk, backend);
@@ -61,7 +62,7 @@ fn main() -> Result<(), DghvError> {
     }
 
     println!("cloud: tallying homomorphically (3 ciphertext multiplications on SSA)…");
-    let backend = SsaBackend::for_gamma(params.gamma);
+    let backend = SsaSoftware::for_operand_bits(params.gamma as usize)?;
     let tally = tally_majority(keys.public(), &backend, &votes)?;
     println!(
         "  encrypted tally: {} bits, noise estimate {} / ceiling {} bits",

@@ -4,9 +4,10 @@
 //! evaluated ciphertexts are shrunk through a ladder of smaller moduli
 //! before transmission.
 //!
-//! Run with: `cargo run --release -p he-accel --example key_compression`
+//! Run with: `cargo run --release --example key_compression`
 
-use he_accel::dghv::{CompressedKeyPair, DghvError, DghvParams, KaratsubaBackend, ModulusLadder};
+use he_accel::Karatsuba;
+use he_dghv::{CompressedKeyPair, DghvError, DghvParams, ModulusLadder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -37,7 +38,7 @@ fn main() -> Result<(), DghvError> {
     assert_eq!(public.elements().len(), params.tau as usize);
 
     // The expanded key is a completely ordinary DGHV key.
-    let backend = KaratsubaBackend;
+    let backend = Karatsuba;
     let mut failures = 0;
     for a in [false, true] {
         for b in [false, true] {

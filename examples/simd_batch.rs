@@ -5,14 +5,14 @@
 //! forward transform amortized over the whole batch, exactly the traffic
 //! shape the accelerator targets.
 //!
-//! Run with: `cargo run --release -p he-accel --example simd_batch`
+//! Run with: `cargo run --release --example simd_batch`
 
-use he_accel::dghv::batch::{BatchCiphertext, BatchParams, BatchSecretKey};
-use he_accel::dghv::{KaratsubaBackend, SsaBackend};
+use he_accel::{Karatsuba, SsaSoftware};
+use he_dghv::batch::{BatchCiphertext, BatchParams, BatchSecretKey};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn main() -> Result<(), he_accel::dghv::DghvError> {
+fn main() -> Result<(), he_dghv::DghvError> {
     let params = BatchParams::tiny();
     println!(
         "batched DGHV: {} slots of {}-bit secrets in {}-bit ciphertexts",
@@ -48,9 +48,9 @@ fn main() -> Result<(), he_accel::dghv::DghvError> {
     );
     // The SSA backend caches the mask's forward spectrum across the batch;
     // the classical backend cross-checks the results bit-for-bit.
-    let ssa = SsaBackend::for_gamma(params.base.gamma);
+    let ssa = SsaSoftware::for_operand_bits(params.base.gamma as usize)?;
     let products = key.mul_many(&ssa, &cmask, &cts)?;
-    let reference = key.mul_many(&KaratsubaBackend, &cmask, &cts)?;
+    let reference = key.mul_many(&Karatsuba, &cmask, &cts)?;
     assert_eq!(products, reference, "cached batch must be bit-exact");
 
     for (product, bits) in products.iter().zip(&records) {

@@ -2,35 +2,52 @@
 //! figure plus the Section V cross-checks (the paper-to-module index is
 //! the "Paper crosswalk" table in `ARCHITECTURE.md`).
 //!
-//! Run with: `cargo run --release -p he-bench --bin repro_all [TARGET]…`
+//! Run with: `cargo run --release --bin repro_all -- [TARGET]…`
 //! where each `TARGET` is one of `table1 table2 fig1 fig2 fig3 fig4 fig5
 //! micro stream primitives`; no argument regenerates all of them in that
 //! order.
 
-use he_bench::{operand, section};
-use he_field::Fp;
-use he_hwsim::accel::AcceleratorSim;
-use he_hwsim::comparators::Table2;
-use he_hwsim::device::STRATIX_V_5SGSMD8;
-use he_hwsim::distributed::{DistributedNtt, PhaseReport};
-use he_hwsim::fft_unit::{BaselineFft64, OptimizedFft64};
-use he_hwsim::memory::{
+use he_accel::bigint::UBig;
+use he_accel::field::Fp;
+use he_accel::hwsim::accel::AcceleratorSim;
+use he_accel::hwsim::comparators::Table2;
+use he_accel::hwsim::device::STRATIX_V_5SGSMD8;
+use he_accel::hwsim::distributed::{DistributedNtt, PhaseReport};
+use he_accel::hwsim::fft_unit::{BaselineFft64, OptimizedFft64};
+use he_accel::hwsim::memory::{
     fft_read_pattern, fft_write_pattern, m20k_blocks_for, BankingScheme, LinearBanked, TwoDBanked,
     ARRAY_POINTS,
 };
-use he_hwsim::network::{schedule_64k, Hypercube};
-use he_hwsim::pe::ProcessingElement;
-use he_hwsim::perf::PerfModel;
-use he_hwsim::primitive::PrimitiveCosts;
-use he_hwsim::program::{PeInterpreter, PeProgram};
-use he_hwsim::resources::{
+use he_accel::hwsim::network::{schedule_64k, Hypercube};
+use he_accel::hwsim::pe::ProcessingElement;
+use he_accel::hwsim::perf::PerfModel;
+use he_accel::hwsim::primitive::PrimitiveCosts;
+use he_accel::hwsim::program::{PeInterpreter, PeProgram};
+use he_accel::hwsim::resources::{
     baseline28_primitives, baseline_fft64_unit, optimized_fft64_unit, proposed_primitives, Table1,
     TechFactors,
 };
-use he_hwsim::stream::StreamSim;
-use he_hwsim::AcceleratorConfig;
-use he_ntt::kernels::{self, Direction};
-use he_ntt::N64K;
+use he_accel::hwsim::stream::StreamSim;
+use he_accel::hwsim::AcceleratorConfig;
+use he_accel::ntt::kernels::{self, Direction};
+use he_accel::ntt::N64K;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+/// A deterministic random operand of exactly `bits` bits, so printed
+/// numbers are reproducible run to run.
+fn operand(bits: usize, salt: u64) -> UBig {
+    let mut rng = StdRng::seed_from_u64(0xDA7E_2016 ^ salt);
+    UBig::random_bits(&mut rng, bits)
+}
+
+/// Prints a section header.
+fn section(title: &str) {
+    println!(
+        "\n=== {title} {}",
+        "=".repeat(68usize.saturating_sub(title.len()))
+    );
+}
 
 /// Every reproduction target, in the order a bare `repro_all` runs them.
 const TARGETS: [(&str, fn()); 10] = [
@@ -463,4 +480,16 @@ fn stream() {
 fn primitives() {
     section("DGHV primitive costs on the accelerator (extension)");
     println!("{}", PrimitiveCosts::paper().render());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::operand;
+
+    #[test]
+    fn operands_are_deterministic() {
+        assert_eq!(operand(1000, 1), operand(1000, 1));
+        assert_ne!(operand(1000, 1), operand(1000, 2));
+        assert_eq!(operand(12_345, 3).bit_len(), 12_345);
+    }
 }

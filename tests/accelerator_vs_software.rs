@@ -66,23 +66,11 @@ fn accelerator_agrees_with_ssa_software_across_sizes() {
 fn dghv_homomorphic_and_on_the_accelerator() {
     // The paper's actual use case: a DGHV ciphertext multiplication
     // executed by the simulated hardware.
-    use he_accel::dghv::{CiphertextMultiplier, DghvParams, KeyPair};
-
-    struct AcceleratorBackend(HardwareSim);
-    impl CiphertextMultiplier for AcceleratorBackend {
-        fn multiply(&self, a: &UBig, b: &UBig) -> UBig {
-            self.0
-                .multiply(a, b)
-                .expect("ciphertexts fit the accelerator")
-        }
-        fn name(&self) -> &'static str {
-            "accelerator-sim"
-        }
-    }
+    use he_dghv::{DghvParams, KeyPair};
 
     let mut rng = StdRng::seed_from_u64(5);
     let keys = KeyPair::generate(DghvParams::tiny(), &mut rng).unwrap();
-    let backend = AcceleratorBackend(HardwareSim::paper());
+    let backend = HardwareSim::paper();
     for a in [false, true] {
         for b in [false, true] {
             let ca = keys.public().encrypt(a, &mut rng);

@@ -1,7 +1,8 @@
 //! DGHV end-to-end: key generation, encryption, homomorphic evaluation and
 //! decryption, up to the paper's 786,432-bit ciphertext scale.
 
-use he_accel::dghv::{DghvParams, KaratsubaBackend, KeyPair, SsaBackend};
+use he_accel::{Karatsuba, SsaSoftware};
+use he_dghv::{DghvParams, KeyPair};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -15,7 +16,7 @@ fn tiny_params_full_workflow() {
         assert_eq!(keys.secret().decrypt(&ct), m);
     }
     // A small circuit: (a AND b) XOR c.
-    let backend = KaratsubaBackend;
+    let backend = Karatsuba;
     for a in [false, true] {
         for b in [false, true] {
             for c in [false, true] {
@@ -35,7 +36,7 @@ fn toy_params_with_ssa_backend() {
     let mut rng = StdRng::seed_from_u64(101);
     let params = DghvParams::toy();
     let keys = KeyPair::generate(params, &mut rng).unwrap();
-    let backend = SsaBackend::for_gamma(params.gamma);
+    let backend = SsaSoftware::for_operand_bits(params.gamma as usize).unwrap();
     let ca = keys.public().encrypt(true, &mut rng);
     let cb = keys.public().encrypt(true, &mut rng);
     assert!(ca.bit_len() <= params.gamma as usize);
@@ -59,7 +60,7 @@ fn paper_scale_symmetric_ciphertexts() {
     }
     // One homomorphic multiplication at full scale via SSA (the 786,432-bit
     // product of the paper's Table II).
-    let backend = SsaBackend::paper();
+    let backend = SsaSoftware::paper();
     let ca = sk.encrypt_symmetric(true, &mut rng);
     let cb = sk.encrypt_symmetric(true, &mut rng);
     let product = keys.public().mul(&backend, &ca, &cb).unwrap();
@@ -70,7 +71,7 @@ fn paper_scale_symmetric_ciphertexts() {
 fn noise_estimates_remain_sound_through_a_deep_circuit() {
     let mut rng = StdRng::seed_from_u64(103);
     let keys = KeyPair::generate(DghvParams::toy(), &mut rng).unwrap();
-    let backend = KaratsubaBackend;
+    let backend = Karatsuba;
     let mut acc = keys.public().encrypt(true, &mut rng);
     let mut plain = true;
     for round in 0..keys.public().params().multiplicative_depth() {

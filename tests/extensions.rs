@@ -3,9 +3,9 @@
 //! claim, as executed by the software recursion), and compressed public
 //! keys (ref [34]) — each cross-checked against the core stack.
 
-use he_accel::dghv::{CompressedKeyPair, DghvParams, ModulusLadder, SsaBackend};
 use he_accel::hwsim::perf::PerfModel;
 use he_accel::prelude::*;
+use he_dghv::{CompressedKeyPair, DghvParams, KeyPair, ModulusLadder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -87,7 +87,7 @@ fn compressed_keys_run_the_full_pipeline_on_the_ssa_backend() {
     let mut rng = StdRng::seed_from_u64(0xC0DE);
     let keys = CompressedKeyPair::generate(DghvParams::tiny(), 42, &mut rng).unwrap();
     let public = keys.compressed().expand();
-    let backend = SsaBackend::for_gamma(keys.secret().params().gamma);
+    let backend = SsaSoftware::for_operand_bits(keys.secret().params().gamma as usize).unwrap();
     for a in [false, true] {
         for b in [false, true] {
             let ca = public.encrypt(a, &mut rng);
@@ -120,7 +120,7 @@ fn ladder_compresses_results_from_a_compressed_key() {
     let keys = CompressedKeyPair::generate(DghvParams::tiny(), 99, &mut rng).unwrap();
     let ladder = ModulusLadder::generate(keys.secret(), &mut rng);
     let public = keys.compressed().expand();
-    let backend = SsaBackend::for_gamma(keys.secret().params().gamma);
+    let backend = SsaSoftware::for_operand_bits(keys.secret().params().gamma as usize).unwrap();
     let ca = public.encrypt(true, &mut rng);
     let cb = public.encrypt(true, &mut rng);
     let and = public.mul(&backend, &ca, &cb).unwrap();

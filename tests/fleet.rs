@@ -333,8 +333,8 @@ fn fleet_splits_expiry_between_queue_and_flush() {
 
 #[test]
 fn dghv_circuits_ride_the_fleet() {
-    use he_accel::dghv::circuits::encrypt_number;
-    use he_accel::dghv::{CircuitEvaluator, DghvParams};
+    use he_dghv::circuits::encrypt_number;
+    use he_dghv::{CircuitEvaluator, DghvParams, KeyPair};
 
     let mut rng = StdRng::seed_from_u64(4016);
     let keys = KeyPair::generate(DghvParams::tiny(), &mut rng).unwrap();

@@ -235,8 +235,8 @@ fn backlogged_jobs_still_ride_full_micro_batches() {
 
 #[test]
 fn circuit_levels_through_the_server_match_a_classical_backend() {
-    use he_accel::dghv::circuits::encrypt_number;
-    use he_accel::dghv::{CircuitEvaluator, DghvParams, KaratsubaBackend};
+    use he_dghv::circuits::encrypt_number;
+    use he_dghv::{CircuitEvaluator, DghvParams, KeyPair};
 
     let mut rng = StdRng::seed_from_u64(2016);
     let keys = KeyPair::generate(DghvParams::tiny(), &mut rng).unwrap();
@@ -252,7 +252,7 @@ fn circuit_levels_through_the_server_match_a_classical_backend() {
     );
     let served = ServedMultiplier::new(&server);
     let eval = CircuitEvaluator::new(keys.public(), &served);
-    let classical = KaratsubaBackend;
+    let classical = Karatsuba;
     let reference = CircuitEvaluator::new(keys.public(), &classical);
 
     // AND-tree over a whole vector: each level is submitted whole, so
@@ -364,13 +364,53 @@ fn one_required_method_carries_every_submission_flavor() {
     // The refused sink was dropped unanswered: typed, not lost.
     assert_eq!(receiver.recv(), Some((24, Err(ServeError::Closed))));
 
-    // A DGHV backend.
-    use he_accel::dghv::CiphertextMultiplier;
+    // A multiplier, one product or a whole batch.
     let served = ServedMultiplier::new(&front);
     let (x, y) = (UBig::from(11u64), UBig::from(13u64));
-    assert_eq!(served.multiply(&x, &y), UBig::from(143u64));
-    assert_eq!(
-        served.multiply_pairs(&[(&x, &y), (&y, &y)]),
-        vec![UBig::from(143u64), UBig::from(169u64)]
+    assert_eq!(served.multiply(&x, &y).unwrap(), UBig::from(143u64));
+    let mut products = vec![UBig::zero(); 2];
+    served
+        .multiply_batch_into(
+            &[ProductJob::Raw(&x, &y), ProductJob::Raw(&y, &y)],
+            &mut products,
+        )
+        .unwrap();
+    assert_eq!(products, vec![UBig::from(143u64), UBig::from(169u64)]);
+}
+
+#[test]
+fn a_closed_fleet_fails_dghv_products_instead_of_panicking() {
+    use he_dghv::{DghvError, DghvParams, KeyPair};
+
+    let mut rng = StdRng::seed_from_u64(2017);
+    let keys = KeyPair::generate(DghvParams::tiny(), &mut rng).unwrap();
+    let gamma = keys.public().params().gamma;
+    let server = ServerPool::spawn(
+        vec![EvalEngine::new(
+            SsaSoftware::for_operand_bits(gamma as usize).unwrap(),
+        )],
+        ServeConfig::default(),
     );
+    let session = server.session();
+    let served = ServedMultiplier::new(&session);
+    let (a, b) = (
+        keys.public().encrypt(true, &mut rng),
+        keys.public().encrypt(true, &mut rng),
+    );
+    let product = keys.public().mul(&served, &a, &b).unwrap();
+    assert!(keys.secret().decrypt(&product));
+
+    server.shutdown();
+    for result in [
+        keys.public().mul(&served, &a, &b).map(|_| ()),
+        keys.public().mul_pairs(&served, &[(&a, &b)]).map(|_| ()),
+        keys.public()
+            .mul_many(&served, &a, std::slice::from_ref(&b))
+            .map(|_| ()),
+    ] {
+        match result {
+            Err(DghvError::Multiply(MultiplyError::Device(_))) => {}
+            other => panic!("expected a device error, got {other:?}"),
+        }
+    }
 }

@@ -442,8 +442,8 @@ fn pin_store_eviction_stays_correct_under_register_churn() {
 
 #[test]
 fn dghv_circuits_ride_a_client_session() {
-    use he_accel::dghv::circuits::encrypt_number;
-    use he_accel::dghv::{CircuitEvaluator, DghvParams};
+    use he_dghv::circuits::encrypt_number;
+    use he_dghv::{CircuitEvaluator, DghvParams, KeyPair};
 
     let mut rng = StdRng::seed_from_u64(5016);
     let keys = KeyPair::generate(DghvParams::tiny(), &mut rng).unwrap();
