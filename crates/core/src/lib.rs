@@ -69,7 +69,7 @@
 //! ```
 //!
 //! For the deployment shape — resident engines behind a bounded queue,
-//! deadline-aware micro-batching, one card or a whole fleet — see
+//! deadline-aware claiming, one card or a whole fleet — see
 //! [`serve`] ([`ServerPool`]); clients stream against it without a
 //! thread per in-flight product via [`CompletionQueue`] (tagged,
 //! completion-ordered draining) and [`ClientSession`] (register a

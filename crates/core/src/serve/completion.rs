@@ -225,7 +225,7 @@ impl ProductTicket {
         (sink, ProductTicket { rx, cancel })
     }
 
-    /// Blocks until the job's micro-batch is flushed and returns the
+    /// Blocks until the job's run is flushed and returns the
     /// product (or the job's typed failure).
     ///
     /// # Errors

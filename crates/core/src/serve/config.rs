@@ -1,9 +1,9 @@
 //! What an operator sets ([`ServeConfig`]) and what the fleet reports
 //! back ([`ServeStats`] per card, [`PoolStats`] per fleet). Three rules
-//! are not knobs: a free card claims pending work at once, a contested
-//! flush seats the earliest deadlines first (arrival order when no
-//! deadlines are in play), and the cache admits an inline operand on its
-//! second sighting.
+//! are not knobs: a free card claims one run at once — at most as many
+//! jobs as its engine computes together, earliest deadlines first
+//! (arrival order when no deadlines are in play) — and the cache admits
+//! an inline operand on its second sighting.
 
 use std::time::Duration;
 
@@ -12,19 +12,9 @@ use std::time::Duration;
 pub struct ServeConfig {
     /// Bounded submission-queue depth: a blocking submission waits and a
     /// non-blocking one sheds once this many jobs are pending (minimum
-    /// 1). Claimed micro-batches no longer count against the bound.
+    /// 1). A claimed run no longer counts against the bound.
     pub queue_capacity: usize,
-    /// The most jobs one flush takes (minimum 1). A free card claims
-    /// whatever is pending the moment anything is — it never waits for a
-    /// batch to fill — so batches form only from what queued while every
-    /// card was busy. When more is pending than a flush takes, the
-    /// earliest deadlines win the seats (deadline-less jobs after them,
-    /// arrival order as tie-breaker). This bounds a claim, not the bytes
-    /// a card holds: a card computes its flush in runs of as many jobs as
-    /// its engine computes at once, and answers each run (dropping its
-    /// operands and handing off its products) before the next starts.
-    pub max_batch: usize,
-    /// Bytes of prepared handles retained **per card** between flushes,
+    /// Bytes of prepared handles retained **per card** between runs,
     /// digest-keyed and pinned together (least recently used evicted
     /// first, pins last); `0` disables caching and every job runs as a
     /// raw three-transform product. An entry weighs its operand plus its
@@ -42,11 +32,10 @@ pub struct ServeConfig {
     /// re-prepares the operands it actually reuses.
     pub idle_trim_after: Duration,
     /// How many times a failed job is re-queued before the fleet gives
-    /// up on it. When a run of a flush **panics**, its jobs and those of
-    /// every later run of that flush are re-queued to the surviving cards
-    /// (and isolated: each runs alone until it proves innocent) — the
-    /// earlier runs' jobs are already answered — until a job has taken
-    /// down `retry_limit + 1` flushes; then it is quarantined with
+    /// up on it. When a run **panics**, its jobs are re-queued to the
+    /// surviving cards (and isolated: each runs alone until it proves
+    /// innocent) until a job has taken down `retry_limit + 1` runs; then
+    /// it is quarantined with
     /// [`ServeError::Poisoned`](super::ServeError).
     /// A job failing with a *transient* device fault
     /// ([`crate::MultiplyError::Device`]) is re-queued the same number of
@@ -56,8 +45,8 @@ pub struct ServeConfig {
     /// On a factory-supervised pool
     /// ([`ServerPool::with_backend_factory`](super::ServerPool::with_backend_factory)),
     /// how many **consecutive** restarts a card may attempt without
-    /// completing a single clean flush in between, before it is declared
-    /// [`CardHealth::Dead`]. A clean flush refills the budget.
+    /// completing a single clean run in between, before it is declared
+    /// [`CardHealth::Dead`]. A clean run refills the budget.
     pub restart_cap: u32,
     /// Backoff before the first restart attempt of a panicked card;
     /// doubles per consecutive attempt (capped at ~1 s).
@@ -68,7 +57,6 @@ impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
             queue_capacity: 256,
-            max_batch: 64,
             cache_bytes: 64 << 20,
             idle_trim_after: Duration::from_millis(250),
             retry_limit: 2,
@@ -82,7 +70,7 @@ impl Default for ServeConfig {
 /// [`ServerPool::shutdown`](super::ServerPool::shutdown).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeStats {
-    /// Micro-batches flushed.
+    /// Runs claimed and flushed (a run is at most the engine's width).
     pub flushes: u64,
     /// Jobs answered with a product.
     pub completed: u64,
@@ -118,7 +106,7 @@ pub struct ServeStats {
     /// call pinned by id, served without hashing the operand's data at
     /// all.
     pub pinned_hits: u64,
-    /// Largest single flush, in jobs.
+    /// Largest single run, in jobs (at most the engine's width).
     pub largest_flush: usize,
     /// Idle-trim passes (backend scratch released after a quiet period).
     pub idle_trims: u64,
@@ -126,9 +114,9 @@ pub struct ServeStats {
     /// each re-queue counts once, on the card whose flush failed (see
     /// [`ServeConfig::retry_limit`]).
     pub retried: u64,
-    /// Solo re-runs of jobs from a batch that reported an error — the
+    /// Solo re-runs of jobs from a run that reported an error — the
     /// per-job isolation pass that keeps one bad product from failing its
-    /// batch-mates.
+    /// run-mates.
     pub reruns: u64,
     /// Times this card's engine was rebuilt from the backend factory
     /// after a panic.

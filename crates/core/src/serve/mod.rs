@@ -9,15 +9,14 @@
 //! from one of each:
 //!
 //! * **One server.** [`ServerPool`] owns the cards (one is a fleet of
-//!   one) and the bounded queue they share. A free card claims whatever
-//!   is pending the moment anything is — up to [`ServeConfig::max_batch`]
-//!   jobs, earliest deadlines first — so micro-batches form only from
-//!   what queued while every card was busy. A card computes its flush in
-//!   runs of as many jobs as its engine computes at once and answers each
-//!   run the moment it is done, so it holds one run's operands and
-//!   products, never the whole flush's. A job whose deadline passes
-//!   before execution is answered [`ServeError::Expired`] instead of
-//!   being run.
+//!   one) and the bounded queue they share. A free card claims one run
+//!   the moment anything is pending — at most as many jobs as its engine
+//!   computes at once, earliest deadlines first — prepares that run's
+//!   operands, computes it, answers it and claims again, so a card holds
+//!   one run's operands and products, never a backlog's, and a job that
+//!   arrives behind a backlog waits only for the runs in flight. A job
+//!   whose deadline passes before execution is answered
+//!   [`ServeError::Expired`] instead of being run.
 //! * **One way in.** Everything that accepts jobs is a [`Submitter`] —
 //!   the pool, a [`ClientSession`] over it, a remote transport — and
 //!   implements a single method: request + sink + block-or-shed.
@@ -41,12 +40,12 @@
 //!   is sighted, so one-shot operands run raw and hold no memory. A recurring operand — a running accumulator, a fixed key
 //!   element, a SIMD mask — therefore lands on the one-cached/both-cached
 //!   rungs of the batch ladder without the caller managing handles, and
-//!   a flush's admitted misses are prepared in parallel.
+//!   a run's admitted misses are prepared in parallel.
 //!   Handles are provenance-stamped, so cards never share spectra unless
 //!   their transform geometry matches.
 //!
-//! The fleet is **self-healing**: every flush runs under panic
-//! containment, a panic re-queues the jobs it left unanswered to
+//! The fleet is **self-healing**: every run computes under panic
+//! containment, a panic re-queues the run's unanswered jobs to
 //! surviving cards (up to
 //! [`ServeConfig::retry_limit`], within their deadline budget), transient
 //! [`MultiplyError::Device`](crate::MultiplyError::Device) faults are
@@ -62,7 +61,7 @@
 //! [`ServedMultiplier`] closes the loop with the DGHV layer: it
 //! implements [`Multiplier`](crate::Multiplier) over any [`Submitter`],
 //! so `he-dghv` circuit evaluation submits whole levels for the fleet to
-//! batch, and a closed or failing fleet comes back as a
+//! spread across its cards, and a closed or failing fleet comes back as a
 //! [`MultiplyError`](crate::MultiplyError) rather than a panic.
 //!
 //! # Example

@@ -18,8 +18,8 @@ use crate::engine::EvalEngine;
 use crate::multiplier::Multiplier;
 
 /// A serving **fleet**: one or more resident [`EvalEngine`]s — one per
-/// accelerator card — pulling deadline-aware micro-batches from one
-/// shared bounded queue (see the [module docs](super) for the full
+/// accelerator card — claiming deadline-ranked runs from one shared
+/// bounded queue (see the [module docs](super) for the full
 /// contract).
 ///
 /// Every card keeps its own operand cache (handles are provenance-stamped

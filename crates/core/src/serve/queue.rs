@@ -1,13 +1,12 @@
 //! What enters the fleet — [`ProductRequest`] — and where it waits: the
 //! bounded shared queue every submission funnels into, and the pure
-//! claim decision ([`pop_batch`]) a free card selects its next flush
+//! claim decision ([`claim_run`]) a free card selects its next run
 //! with.
 //! [`PoolShared::enqueue`] also admits each inline operand: hashed once,
 //! outside the queue lock, it takes the allocation of an equal operand
 //! still live in the fleet's [`RecentOperands`] table (held once however
 //! many requests carry it), and its digest and verdict ride to the card.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -30,7 +29,7 @@ pub(super) struct Operand {
     /// A pin's id, or the digest admission took of an inline operand
     /// (`None` before admission: such an operand runs raw).
     pub(super) key: Option<Key>,
-    /// Whether it earns a cache slot without repeating in its flush: a
+    /// Whether it earns a cache slot without repeating in its run: a
     /// pin always, an inline operand once the fleet sighted it before.
     pub(super) recurring: bool,
 }
@@ -54,6 +53,13 @@ impl Operand {
 
     pub(super) fn value(&self) -> &UBig {
         &self.value
+    }
+
+    /// Whether another live request holds this allocation: admission
+    /// handed it to a twin sighted after this operand, so the operand
+    /// has been sighted twice since its own `recurring` verdict.
+    pub(super) fn has_twin(&self) -> bool {
+        Arc::strong_count(&self.value) > 1
     }
 
     /// The operand as a cache entry holds it: the request's own
@@ -98,8 +104,8 @@ impl ProductRequest {
     /// *started executing* by then, it is answered with
     /// [`ServeError::Expired`](super::ServeError::Expired) instead of
     /// occupying a card. A free card claims pending work at once, so a
-    /// deadline is only ever at risk behind a busy fleet — where an
-    /// earlier deadline wins a seat in the next flush.
+    /// deadline is only ever at risk behind a busy fleet — where the
+    /// earliest deadline is claimed next.
     pub fn with_deadline(mut self, timeout: Duration) -> ProductRequest {
         self.deadline = Some(Instant::now() + timeout);
         self
@@ -161,19 +167,29 @@ pub(super) struct Submitted {
     pub(super) request: ProductRequest,
     /// Arrival order, the EDF tie-breaker.
     pub(super) seq: u64,
-    /// Times this job has been re-queued after a failed flush (panic or
+    /// Times this job has been re-queued after a failed run (panic or
     /// transient device fault); [`ServeConfig::retry_limit`] bounds it.
     pub(super) retries: u32,
-    /// Set when the job was part of a **panicked** flush: until it proves
+    /// Set when the job was part of a **panicked** run: until it proves
     /// innocent, it is claimed alone — a poisonous job must not take
-    /// batch-mates down with it twice.
+    /// run-mates down with it twice.
     pub(super) suspect: bool,
     /// Where the outcome goes; also carries the job's cancel flag.
     pub(super) reply: CompletionSink,
 }
 
+impl Submitted {
+    /// Claim order, smallest first: suspects, then deadlines (earliest
+    /// first), then deadline-less jobs, each tie broken by arrival.
+    fn rank(&self) -> (bool, bool, Option<Instant>, u64) {
+        let deadline = self.request.deadline;
+        (!self.suspect, deadline.is_none(), deadline, self.seq)
+    }
+}
+
 pub(super) struct QueueState {
-    pub(super) pending: VecDeque<Submitted>,
+    /// Unordered: [`claim_run`] picks by rank.
+    pub(super) pending: Vec<Submitted>,
     pub(super) closed: bool,
 }
 
@@ -187,8 +203,8 @@ pub(super) struct PoolShared {
     state: Mutex<QueueState>,
     /// Signaled on every push and on close; parked cards wait here.
     not_empty: Condvar,
-    /// Signaled on every claim and on close; blocking submitters wait
-    /// here.
+    /// Signaled when a claim frees room in a full queue, and on close;
+    /// blocking submitters wait here.
     pub(super) not_full: Condvar,
     seq: AtomicU64,
     /// Cards still running; the last one to exit (panic included) closes
@@ -228,7 +244,7 @@ impl PoolShared {
                 .map(|_| AtomicU8::new(CardHealth::Live as u8))
                 .collect(),
             state: Mutex::new(QueueState {
-                pending: VecDeque::new(),
+                pending: Vec::new(),
                 closed: false,
             }),
             not_empty: Condvar::new(),
@@ -282,6 +298,25 @@ impl PoolShared {
         lock_or_recover(&self.state)
     }
 
+    /// Takes the next run for a free card of `width` off the queue and
+    /// releases the lock. Blocking submitters are woken only when the
+    /// claim freed room in a full queue — the one event they wait for.
+    pub(super) fn claim(
+        &self,
+        mut state: MutexGuard<'_, QueueState>,
+        width: usize,
+    ) -> Vec<Submitted> {
+        let capacity = self.config.queue_capacity.max(1);
+        let was_full = state.pending.len() >= capacity;
+        let run = claim_run(&mut state.pending, width);
+        let freed = was_full && state.pending.len() < capacity;
+        drop(state);
+        if freed {
+            self.not_full.notify_all();
+        }
+        run
+    }
+
     pub(super) fn set_health(&self, index: usize, health: CardHealth) {
         if let Some(slot) = self.card_health.get(index) {
             slot.store(health as u8, Ordering::Relaxed);
@@ -300,7 +335,7 @@ impl PoolShared {
         self.card_health.iter().map(PoolShared::health).collect()
     }
 
-    /// Puts a job from a failed flush back on the queue for the next
+    /// Puts a job from a failed run back on the queue for the next
     /// claim — surviving cards (or this one, once restarted) pick it up.
     /// Bypasses the capacity bound (the job was already admitted once;
     /// bouncing it against backpressure could deadlock a full queue) and
@@ -308,7 +343,7 @@ impl PoolShared {
     /// reach a survivor; if every worker exits first, the exit path
     /// clears the queue and the job resolves `Closed`).
     pub(super) fn requeue(&self, job: Submitted) {
-        self.lock_state().pending.push_back(job);
+        self.lock_state().pending.push(job);
         self.wake_cards();
     }
 
@@ -337,7 +372,7 @@ impl PoolShared {
             }
             state = self.not_full.wait(state).unwrap_or_else(|e| e.into_inner());
         }
-        state.pending.push_back(Submitted {
+        state.pending.push(Submitted {
             request,
             seq: self.seq.fetch_add(1, Ordering::Relaxed),
             retries: 0,
@@ -366,53 +401,24 @@ impl PoolShared {
     }
 }
 
-/// The claim decision: which pending jobs leave `pending` as the claiming
-/// card's next flush. A suspect — a job that rode a panicked flush — goes
-/// **alone** and first: if it is poisonous it takes down only that flush,
-/// and if it is an innocent batch-mate it completes without queueing
-/// behind anyone. Otherwise the card takes up to `max_batch` jobs; when
-/// seats are contested, the earliest deadlines win them (deadline-less
-/// jobs after, arrival order as tie-breaker), which with no deadlines in
-/// play is arrival order exactly. Batch and remainder both keep queue
-/// order.
-pub(super) fn pop_batch(pending: &mut VecDeque<Submitted>, config: &ServeConfig) -> Vec<Submitted> {
-    if let Some(suspect) = pending.iter().position(|job| job.suspect) {
-        return pending.remove(suspect).into_iter().collect();
+/// The claim decision: the run a free card of `width` takes off
+/// `pending`. A suspect — a job that rode a panicked run — goes **alone**
+/// and first: if it is poisonous it takes down only its own run, and if
+/// it is an innocent run-mate it completes without queueing behind
+/// anyone. Otherwise the card takes up to `width` jobs, earliest
+/// deadlines first (deadline-less jobs after them, arrival order as
+/// tie-breaker), which with no deadlines in play is arrival order
+/// exactly.
+pub(super) fn claim_run(pending: &mut Vec<Submitted>, width: usize) -> Vec<Submitted> {
+    let mut run: Vec<Submitted> = Vec::with_capacity(width.min(pending.len()));
+    while run.len() < width.max(1) && !run.first().is_some_and(|job| job.suspect) {
+        let next = pending.iter().enumerate().min_by_key(|(_, job)| job.rank());
+        let Some((next, _)) = next else {
+            break;
+        };
+        run.push(pending.swap_remove(next));
     }
-    let take = config.max_batch.max(1);
-    if pending.len() <= take {
-        return pending.drain(..).collect();
-    }
-    let mut ranked: Vec<_> = pending
-        .iter()
-        .enumerate()
-        .map(|(i, job)| {
-            let deadline = job.request.deadline;
-            (deadline.is_none(), deadline, job.seq, i)
-        })
-        .collect();
-    ranked.sort_unstable();
-    let mut chosen: Vec<usize> = ranked.into_iter().take(take).map(|(.., i)| i).collect();
-    chosen.sort_unstable();
-    // The common case — arrival order wins — is the head of the queue:
-    // no rebuild.
-    if chosen.last() == Some(&(take - 1)) {
-        return pending.drain(..take).collect();
-    }
-    // Deadline-ranked claims sit anywhere in the queue: rebuild it around
-    // them.
-    let mut chosen = chosen.iter().peekable();
-    let mut batch = Vec::with_capacity(take);
-    let mut rest = VecDeque::with_capacity(pending.len().saturating_sub(take));
-    for (i, job) in pending.drain(..).enumerate() {
-        if chosen.next_if_eq(&&i).is_some() {
-            batch.push(job);
-        } else {
-            rest.push_back(job);
-        }
-    }
-    *pending = rest;
-    batch
+    run
 }
 // lint: end supervisor
 
@@ -435,130 +441,125 @@ mod tests {
         }
     }
 
-    fn pending_of(base: Instant, jobs: &[(u64, Option<u64>)]) -> VecDeque<Submitted> {
+    fn pending_of(base: Instant, jobs: &[(u64, Option<u64>)]) -> Vec<Submitted> {
         jobs.iter()
             .map(|&(seq, deadline_ms)| queued(seq, base, deadline_ms))
             .collect()
     }
 
-    fn seqs(batch: &[Submitted]) -> Vec<u64> {
-        batch.iter().map(|job| job.seq).collect()
+    fn seqs(jobs: &[Submitted]) -> Vec<u64> {
+        jobs.iter().map(|job| job.seq).collect()
+    }
+
+    /// What is left pending, in arrival order (the queue keeps none).
+    fn left(pending: &[Submitted]) -> Vec<u64> {
+        let mut left = seqs(pending);
+        left.sort_unstable();
+        left
     }
 
     /// What strict arrival order would claim — the comparator EDF is
-    /// measured against: the first `max_batch` jobs by `seq`.
-    fn fifo(pending: &VecDeque<Submitted>, config: &ServeConfig) -> Vec<u64> {
-        let mut order: Vec<u64> = pending.iter().map(|job| job.seq).collect();
-        order.sort_unstable();
-        order.truncate(config.max_batch);
+    /// measured against: the first `width` jobs by `seq`.
+    fn fifo(pending: &[Submitted], width: usize) -> Vec<u64> {
+        let mut order = left(pending);
+        order.truncate(width);
         order
     }
 
     #[test]
     fn edf_claims_earliest_deadlines_first() {
-        let config = ServeConfig {
-            max_batch: 2,
-            ..ServeConfig::default()
-        };
         let mut pending = pending_of(
             Instant::now(),
             &[(0, None), (1, Some(500)), (2, Some(50)), (3, Some(200))],
         );
         // Arrival order would take the two oldest regardless of
         // deadlines…
-        assert_eq!(fifo(&pending, &config), vec![0, 1]);
+        assert_eq!(fifo(&pending, 2), vec![0, 1]);
         // …EDF seats the 50 ms and 200 ms deadlines ahead of the 500 ms
         // one and the deadline-less job.
-        assert_eq!(seqs(&pop_batch(&mut pending, &config)), vec![2, 3]);
-        assert_eq!(seqs(pending.make_contiguous()), vec![0, 1]);
+        assert_eq!(seqs(&claim_run(&mut pending, 2)), vec![2, 3]);
+        assert_eq!(left(&pending), vec![0, 1]);
     }
 
     #[test]
     fn edf_expires_fewer_than_fifo_under_overload() {
         // Deterministic queue-order check (no live threads): 4 pending
-        // jobs, capacity for 2 per flush. The last two carry the tight
-        // deadlines; EDF runs them first, arrival order would leave both
-        // behind to expire while the first flush runs.
-        let config = ServeConfig {
-            max_batch: 2,
-            ..ServeConfig::default()
-        };
+        // jobs, a card two wide. The last two carry the tight deadlines;
+        // EDF runs them first, arrival order would leave both behind to
+        // expire while the first run computes.
         let mut pending = pending_of(
             Instant::now(),
             &[(0, None), (1, None), (2, Some(1)), (3, Some(2))],
         );
         let urgent_left_behind =
             |claimed: &[u64]| [2, 3].iter().filter(|seq| !claimed.contains(seq)).count();
-        assert_eq!(urgent_left_behind(&fifo(&pending, &config)), 2);
-        let edf = seqs(&pop_batch(&mut pending, &config));
+        assert_eq!(urgent_left_behind(&fifo(&pending, 2)), 2);
+        let edf = seqs(&claim_run(&mut pending, 2));
         assert_eq!(edf, vec![2, 3]);
         assert_eq!(urgent_left_behind(&edf), 0);
     }
 
     #[test]
-    fn a_free_card_claims_whatever_is_pending_up_to_max_batch() {
-        // The claim decision takes the queue and the config and nothing
-        // else — no clock, no age, no window: a lone job is a flush of
-        // one, a backlog is cut at `max_batch`.
-        let config = ServeConfig {
-            max_batch: 3,
-            ..ServeConfig::default()
-        };
+    fn a_free_card_claims_at_most_its_width() {
+        // The claim decision takes the queue and the card's width and
+        // nothing else — no clock, no age, no window: a lone job is a run
+        // of one, a backlog is cut at the width.
         let mut pending = pending_of(Instant::now(), &[(0, Some(900))]);
-        assert_eq!(seqs(&pop_batch(&mut pending, &config)), vec![0]);
+        assert_eq!(seqs(&claim_run(&mut pending, 3)), vec![0]);
         assert!(pending.is_empty());
         let jobs: Vec<(u64, Option<u64>)> = (0..5).map(|seq| (seq, None)).collect();
         let mut pending = pending_of(Instant::now(), &jobs);
-        assert_eq!(seqs(&pop_batch(&mut pending, &config)), vec![0, 1, 2]);
-        assert_eq!(seqs(&pop_batch(&mut pending, &config)), vec![3, 4]);
-        assert!(pop_batch(&mut pending, &config).is_empty());
+        assert_eq!(seqs(&claim_run(&mut pending, 3)), vec![0, 1, 2]);
+        assert_eq!(seqs(&claim_run(&mut pending, 3)), vec![3, 4]);
+        assert!(claim_run(&mut pending, 3).is_empty());
+        // A width of zero still makes progress.
+        let mut pending = pending_of(Instant::now(), &jobs);
+        assert_eq!(seqs(&claim_run(&mut pending, 0)), vec![0]);
     }
 
     #[test]
     fn a_suspect_is_claimed_alone_and_first() {
-        let config = ServeConfig::default();
         let mut pending = pending_of(Instant::now(), &[(0, Some(1)), (1, None), (2, None)]);
         pending[1].suspect = true;
         pending[2].suspect = true;
-        // Not even an urgent deadline shares a flush with a suspect…
-        assert_eq!(seqs(&pop_batch(&mut pending, &config)), vec![1]);
+        // Not even an urgent deadline shares a run with a suspect…
+        assert_eq!(seqs(&claim_run(&mut pending, 4)), vec![1]);
         // …and two suspects never ride together.
-        assert_eq!(seqs(&pop_batch(&mut pending, &config)), vec![2]);
-        assert_eq!(seqs(&pop_batch(&mut pending, &config)), vec![0]);
+        assert_eq!(seqs(&claim_run(&mut pending, 4)), vec![2]);
+        assert_eq!(seqs(&claim_run(&mut pending, 4)), vec![0]);
         assert!(pending.is_empty());
     }
 
     #[test]
-    fn head_of_queue_and_scattered_claims_agree() {
-        // `pop_batch` drains the head of the queue when the chosen jobs
-        // are its head and rebuilds the queue around them when they are
-        // not. The same four jobs claimed both ways — once as the whole
-        // head, once from behind a deadline-less job they outrank — must
-        // come out as the same batch and leave the same remainder order.
+    fn claims_of_every_width_follow_one_order() {
+        // However wide the claiming cards, jobs leave the queue in one
+        // order — deadlines earliest first, then the deadline-less, each
+        // by arrival — whatever order they were queued in.
         let base = Instant::now();
-        let config = ServeConfig {
-            max_batch: 4,
-            ..ServeConfig::default()
-        };
-        let jobs: Vec<(u64, Option<u64>)> = (0..6).map(|seq| (seq, Some(100 + seq))).collect();
-        let mut head = pending_of(base, &jobs);
-        let drained = pop_batch(&mut head, &config);
-        let mut blocked = pending_of(base, &[(9, None)]);
-        blocked.extend(pending_of(base, &jobs));
-        let rebuilt = pop_batch(&mut blocked, &config);
-        assert_eq!(seqs(&drained), vec![0, 1, 2, 3]);
-        assert_eq!(seqs(&rebuilt), seqs(&drained));
-        assert_eq!(seqs(head.make_contiguous()), vec![4, 5]);
-        assert_eq!(seqs(blocked.make_contiguous()), vec![9, 4, 5]);
-        // A ranked claim whose winners sit mid-queue goes through the
-        // rebuild and still leaves the rest in arrival order.
-        let config = ServeConfig {
-            max_batch: 2,
-            ..ServeConfig::default()
-        };
-        let mut pending = pending_of(base, &[(0, None), (1, Some(9)), (2, None), (3, Some(5))]);
-        assert_eq!(seqs(&pop_batch(&mut pending, &config)), vec![1, 3]);
-        assert_eq!(seqs(pending.make_contiguous()), vec![0, 2]);
+        let jobs = [
+            (0, None),
+            (1, Some(9)),
+            (2, None),
+            (3, Some(5)),
+            (4, Some(5)),
+            (5, None),
+            (6, Some(1)),
+        ];
+        let order = vec![6, 3, 4, 1, 0, 2, 5];
+        for width in 1..=jobs.len() + 1 {
+            let mut pending = pending_of(base, &jobs);
+            pending.reverse();
+            let mut claimed = Vec::new();
+            loop {
+                let run = claim_run(&mut pending, width);
+                if run.is_empty() {
+                    break;
+                }
+                assert!(run.len() <= width);
+                claimed.extend(seqs(&run));
+            }
+            assert_eq!(claimed, order, "width {width}");
+        }
     }
 
     #[test]

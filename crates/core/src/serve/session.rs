@@ -244,9 +244,9 @@ impl<S: Submitter> Multiplier for ServedMultiplier<'_, S> {
             out.len()
         );
         // Check every handle before the first submission, then submit
-        // the whole level and collect: the fleet micro-batches the
-        // stream, so independent gates of one circuit level share
-        // flushes (and the cached transforms of recurring operands).
+        // the whole level and collect: independent gates of one circuit
+        // level spread across the fleet's cards and runs (and share the
+        // cached transforms of recurring operands).
         let provenance = self.provenance();
         let pairs = jobs
             .iter()

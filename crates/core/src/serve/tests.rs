@@ -4,7 +4,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use he_bigint::UBig;
@@ -23,12 +23,67 @@ fn small_server(config: ServeConfig) -> ServerPool {
     ServerPool::spawn(vec![small_engine(2_000)], config)
 }
 
+/// Cache off, so every job reaches its card raw.
+fn uncached() -> ServeConfig {
+    ServeConfig {
+        cache_bytes: 0,
+        ..ServeConfig::default()
+    }
+}
+
+/// A card that reports each product's entry — its right-hand operand,
+/// as a `u64` — then holds the product until the test sends a permit.
+/// Dropping the permit sender releases every product.
+#[derive(Debug)]
+struct PermitCard {
+    entered: mpsc::Sender<u64>,
+    permits: Mutex<mpsc::Receiver<()>>,
+}
+
+impl Multiplier for PermitCard {
+    fn multiply(&self, a: &UBig, b: &UBig) -> Result<UBig, MultiplyError> {
+        let _ = self
+            .entered
+            .send(b.as_limbs().first().copied().unwrap_or(0));
+        let _ = self
+            .permits
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .recv();
+        Ok(a.mul_schoolbook(b))
+    }
+
+    fn name(&self) -> &'static str {
+        "permit-card"
+    }
+}
+
+/// A one-product-wide [`PermitCard`], its entry reports and its permits.
+fn permit_card() -> (
+    EvalEngine<PermitCard>,
+    mpsc::Receiver<u64>,
+    mpsc::Sender<()>,
+) {
+    let (entered, entries) = mpsc::channel();
+    let (permits, gate) = mpsc::channel();
+    let card = PermitCard {
+        entered,
+        permits: Mutex::new(gate),
+    };
+    (EvalEngine::new(card).with_threads(1), entries, permits)
+}
+
+/// The next product to enter its card. The bound only turns a hang into
+/// a failure; nothing is timed.
+fn next_entry(entries: &mpsc::Receiver<u64>) -> u64 {
+    entries
+        .recv_timeout(Duration::from_secs(30))
+        .expect("a product entered its card")
+}
+
 #[test]
 fn serves_products_in_submission_order() {
-    let server = small_server(ServeConfig {
-        max_batch: 4,
-        ..ServeConfig::default()
-    });
+    let server = small_server(ServeConfig::default());
     let tickets: Vec<ProductTicket> = (1..=10u64)
         .map(|k| {
             server
@@ -84,11 +139,41 @@ fn a_lone_job_on_an_idle_pool_is_its_own_flush() {
 }
 
 #[test]
+fn an_urgent_job_enters_next_behind_a_deadline_less_backlog() {
+    // Job 0 holds the card while jobs 1–8, none with a deadline, queue
+    // behind it. Once job 1 has entered, an urgent job arrives: the card
+    // claims one run at a time, so the urgent job is the next to enter —
+    // not the last, behind a backlog claimed all at once.
+    let (card, entries, permits) = permit_card();
+    let pool = ServerPool::spawn(vec![card], uncached());
+    // Rebound after the pool so it drops first: a failing assertion
+    // releases the card before the pool's drop joins it.
+    let permits = permits;
+    let a = UBig::from(1_000_003u64);
+    let submit = |request: ProductRequest| pool.submit(request).unwrap();
+    let mut tickets = vec![(0, submit(ProductRequest::new(a.clone(), UBig::zero())))];
+    assert_eq!(next_entry(&entries), 0);
+    for k in 1..=8u64 {
+        tickets.push((k, submit(ProductRequest::new(a.clone(), UBig::from(k)))));
+    }
+    permits.send(()).unwrap();
+    assert_eq!(next_entry(&entries), 1);
+    let urgent = ProductRequest::new(a.clone(), UBig::from(99u64));
+    tickets.push((99, submit(urgent.with_deadline(Duration::from_secs(60)))));
+    permits.send(()).unwrap();
+    assert_eq!(next_entry(&entries), 99, "the urgent job enters next");
+    drop(permits);
+    for (k, ticket) in tickets {
+        assert_eq!(ticket.wait().unwrap(), &a * &UBig::from(k));
+    }
+    let stats = pool.shutdown().total();
+    assert_eq!((stats.completed, stats.expired()), (10, 0));
+    assert_eq!((stats.flushes, stats.largest_flush), (10, 1));
+}
+
+#[test]
 fn shutdown_drains_accepted_jobs() {
-    let server = small_server(ServeConfig {
-        max_batch: 64,
-        ..ServeConfig::default()
-    });
+    let server = small_server(ServeConfig::default());
     let tickets: Vec<ProductTicket> = (2..7u64)
         .map(|k| {
             server
@@ -107,7 +192,6 @@ fn shutdown_drains_accepted_jobs() {
 #[test]
 fn idle_trim_releases_the_handle_cache() {
     let server = small_server(ServeConfig {
-        max_batch: 4,
         idle_trim_after: Duration::from_millis(20),
         ..ServeConfig::default()
     });
@@ -157,10 +241,7 @@ fn raw_backends_serve_with_the_cache_auto_disabled() {
 fn pool_serves_across_all_cards() {
     let pool = ServerPool::spawn(
         vec![small_engine(2_000), small_engine(2_000)],
-        ServeConfig {
-            max_batch: 2,
-            ..ServeConfig::default()
-        },
+        ServeConfig::default(),
     );
     assert_eq!(pool.workers(), 2);
     let tickets: Vec<ProductTicket> = (1..=24u64)
@@ -186,10 +267,7 @@ fn heterogeneous_cards_each_prepare_their_own_operands() {
     // which card claims it.
     let pool = ServerPool::spawn(
         vec![small_engine(2_000), small_engine(4_000)],
-        ServeConfig {
-            max_batch: 2,
-            ..ServeConfig::default()
-        },
+        ServeConfig::default(),
     );
     let fixed = UBig::from(0xabcdu64);
     let tickets: Vec<ProductTicket> = (1..=16u64)
@@ -212,7 +290,6 @@ fn session_pins_survive_lru_pressure() {
     let fixed = UBig::from(0xabcd_ef01u64);
     let spectrum = small_engine(2_000).prepare(&fixed).unwrap();
     let server = small_server(ServeConfig {
-        max_batch: 2,
         cache_bytes: size_of_val(fixed.as_limbs()) + spectrum.resident_bytes(),
         ..ServeConfig::default()
     });
@@ -265,10 +342,7 @@ fn sessions_clone_and_unregister_independently() {
 
 #[test]
 fn completion_queue_over_a_session_carries_tags() {
-    let server = small_server(ServeConfig {
-        max_batch: 2,
-        ..ServeConfig::default()
-    });
+    let server = small_server(ServeConfig::default());
     let mut session = server.session();
     session.register("acc", UBig::from(1_000_003u64));
     let requests: Vec<(ProductRequest, u64)> = (2..8u64)
@@ -298,13 +372,7 @@ fn completion_queue_over_a_session_carries_tags() {
 
 #[test]
 fn live_stats_observe_a_running_pool() {
-    let pool = ServerPool::spawn(
-        vec![small_engine(2_000)],
-        ServeConfig {
-            max_batch: 2,
-            ..ServeConfig::default()
-        },
-    );
+    let pool = ServerPool::spawn(vec![small_engine(2_000)], ServeConfig::default());
     let tickets: Vec<ProductTicket> = (1..=6u64)
         .map(|k| {
             pool.submit(ProductRequest::new(UBig::from(k), UBig::from(k)))
@@ -325,11 +393,8 @@ fn live_stats_observe_a_running_pool() {
 #[test]
 fn unpreparable_operands_leave_no_cache_residue() {
     // Oversized operands fail preparation; the flush must not leak
-    // digest chains for them (phase 1 only inserts successes).
-    let server = small_server(ServeConfig {
-        max_batch: 2,
-        ..ServeConfig::default()
-    });
+    // digest chains for them (preparation only inserts successes).
+    let server = small_server(ServeConfig::default());
     let oversized = UBig::pow2(100_000);
     let bad = server
         .submit(ProductRequest::new(oversized.clone(), oversized))
@@ -392,7 +457,6 @@ fn transient_device_errors_retry_to_success() {
             fails: AtomicU64::new(2),
         })],
         ServeConfig {
-            max_batch: 1,
             cache_bytes: 0,
             retry_limit: 2,
             ..ServeConfig::default()
@@ -416,7 +480,6 @@ fn exhausted_retry_budget_surfaces_the_device_error() {
             fails: AtomicU64::new(100),
         })],
         ServeConfig {
-            max_batch: 1,
             cache_bytes: 0,
             retry_limit: 2,
             ..ServeConfig::default()
@@ -455,7 +518,6 @@ fn supervised_card_restarts_after_a_panic() {
             ))
         },
         ServeConfig {
-            max_batch: 4,
             restart_backoff: Duration::from_millis(1),
             ..ServeConfig::default()
         },
@@ -493,7 +555,6 @@ fn poison_job_is_quarantined_and_innocents_survive() {
             ))
         },
         ServeConfig {
-            max_batch: 4,
             retry_limit: 2,
             restart_backoff: Duration::from_millis(1),
             ..ServeConfig::default()
@@ -510,8 +571,8 @@ fn poison_job_is_quarantined_and_innocents_survive() {
         .unwrap();
     assert_eq!(innocent_a.wait().unwrap(), UBig::from(42u64));
     assert_eq!(innocent_b.wait().unwrap(), UBig::from(72u64));
-    // retry_limit 2 → the poison job takes down 3 flushes (its first
-    // batch plus two solo retries), then is quarantined.
+    // retry_limit 2 → the poison job takes down 3 runs (its first plus
+    // two solo retries), then is quarantined.
     assert!(matches!(
         doomed.wait(),
         Err(ServeError::Poisoned { attempts: 3 })
@@ -538,10 +599,7 @@ fn unsupervised_panic_still_kills_the_card() {
             SsaSoftware::for_operand_bits(2_000).unwrap(),
             FaultPlan::new(17).panic_every(1),
         ))],
-        ServeConfig {
-            max_batch: 1,
-            ..ServeConfig::default()
-        },
+        ServeConfig::default(),
     );
     let ticket = pool
         .submit(ProductRequest::new(UBig::from(2u64), UBig::from(3u64)))
@@ -555,13 +613,7 @@ fn unsupervised_panic_still_kills_the_card() {
 
 #[test]
 fn drain_completes_queued_work_before_joining() {
-    let pool = ServerPool::spawn(
-        vec![small_engine(2_000)],
-        ServeConfig {
-            max_batch: 2,
-            ..ServeConfig::default()
-        },
-    );
+    let pool = ServerPool::spawn(vec![small_engine(2_000)], ServeConfig::default());
     let tickets: Vec<ProductTicket> = (1..=5u64)
         .map(|k| {
             pool.submit(ProductRequest::new(UBig::from(k), UBig::from(k)))
@@ -578,55 +630,42 @@ fn drain_completes_queued_work_before_joining() {
 
 #[test]
 fn drain_timeout_fails_pending_jobs_closed() {
-    // Every flush stalls 300 ms; a 1 ms drain budget must give up,
-    // resolve what it can't run to `Closed`, and still join cleanly.
-    let pool = ServerPool::spawn(
-        vec![EvalEngine::new(FaultyMultiplier::new(
-            SsaSoftware::for_operand_bits(2_000).unwrap(),
-            FaultPlan::new(23).stall_every(1, Duration::from_millis(300)),
-        ))],
-        ServeConfig {
-            max_batch: 1,
-            ..ServeConfig::default()
-        },
-    );
-    let tickets: Vec<ProductTicket> = (1..=4u64)
-        .map(|k| {
-            pool.submit(ProductRequest::new(UBig::from(k), UBig::from(k)))
-                .unwrap()
-        })
-        .collect();
-    let outcome = pool.drain(Duration::from_millis(1));
-    assert!(!outcome.clean, "stalled card cannot drain in 1 ms");
-    let mut resolved = 0;
-    let mut closed = 0;
-    for ticket in tickets {
-        match ticket.wait() {
-            Ok(_) => resolved += 1,
-            Err(ServeError::Closed) => closed += 1,
-            other => panic!("unexpected outcome {other:?}"),
-        }
+    // The card holds job 1 while jobs 2–4 queue; a 1 ms drain budget
+    // must give up on the queued three, resolve them `Closed`, and still
+    // join once the in-flight run finishes.
+    let (card, entries, permits) = permit_card();
+    let pool = ServerPool::spawn(vec![card], uncached());
+    // Rebound after the pool so it drops first: a failing assertion
+    // releases the card before the pool's drop joins it.
+    let permits = permits;
+    let submit = |k: u64| {
+        pool.submit(ProductRequest::new(UBig::from(k), UBig::from(k)))
+            .unwrap()
+    };
+    let first = submit(1);
+    assert_eq!(next_entry(&entries), 1);
+    let queued: Vec<ProductTicket> = (2..=4u64).map(submit).collect();
+    let drain = std::thread::spawn(move || pool.drain(Duration::from_millis(1)));
+    // A queued job resolves only once the drain has given up on it.
+    for ticket in queued {
+        assert_eq!(ticket.wait(), Err(ServeError::Closed));
     }
-    // The in-flight flush finishes; jobs still queued at the deadline
-    // are answered, not hung.
-    assert_eq!(resolved + closed, 4);
-    assert!(closed >= 1, "timeout cleared at least one queued job");
+    drop(permits);
+    let outcome = drain.join().unwrap();
+    assert!(!outcome.clean, "a held card cannot drain in 1 ms");
+    assert_eq!(first.wait().unwrap(), UBig::from(1u64));
+    assert_eq!(outcome.stats.total().completed, 1);
 }
 
 #[test]
 fn a_sinks_cancel_handle_cancels_its_queued_job() {
-    // One stalling card: the first job occupies it, the second is
-    // cancelled while still queued and resolves `Closed`.
-    let pool = ServerPool::spawn(
-        vec![EvalEngine::new(FaultyMultiplier::new(
-            SsaSoftware::for_operand_bits(2_000).unwrap(),
-            FaultPlan::new(31).stall_every(1, Duration::from_millis(100)),
-        ))],
-        ServeConfig {
-            max_batch: 1,
-            ..ServeConfig::default()
-        },
-    );
+    // The first job holds the card; the second is cancelled while still
+    // queued and resolves `Closed`.
+    let (card, entries, permits) = permit_card();
+    let pool = ServerPool::spawn(vec![card], uncached());
+    // Rebound after the pool so it drops first: a failing assertion
+    // releases the card before the pool's drop joins it.
+    let permits = permits;
     let session = pool.session();
     let (mint, receiver) = completion_channel();
     session
@@ -635,6 +674,7 @@ fn a_sinks_cancel_handle_cancels_its_queued_job() {
             mint.sink(1),
         )
         .unwrap();
+    assert_eq!(next_entry(&entries), 3);
     let sink = mint.sink(2);
     let second = sink.cancel_handle();
     session
@@ -644,7 +684,7 @@ fn a_sinks_cancel_handle_cancels_its_queued_job() {
         )
         .unwrap();
     second.cancel();
-    drop(mint);
+    drop((mint, permits));
     let mut outcomes = HashMap::new();
     while let Some((tag, outcome)) = receiver.recv() {
         outcomes.insert(tag, outcome);

@@ -1,9 +1,9 @@
-//! One card of the fleet: claim whatever is pending the moment the card
-//! is free, resolve its operands against the card's cache, then run it
-//! under panic containment in runs of as many jobs as the card's engine
-//! computes at once, answering each run before the next starts — a card
-//! holds one run's operands and products, not its whole flush's. A card
-//! hashes nothing: each operand arrives keyed and judged by admission.
+//! One card of the fleet: the moment it is free, claim one run — at most
+//! as many jobs as its engine computes at once — resolve and prepare that
+//! run's operands against the card's cache, compute it under panic
+//! containment and answer it, then claim again. A card holds one run's
+//! operands and products, never a backlog's. A card hashes nothing: each
+//! operand arrives keyed and judged by admission.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -16,7 +16,7 @@ use he_ntt::par::lock_or_recover;
 use super::cache::{holds, Key, OperandCache};
 use super::completion::{CompletionSink, ServeError};
 use super::config::{CardHealth, ServeStats};
-use super::queue::{pop_batch, Operand, PoolShared, Submitted};
+use super::queue::{Operand, PoolShared, Submitted};
 use crate::engine::{EvalEngine, OperandHandle, ProductJob};
 use crate::multiplier::{Multiplier, MultiplyError};
 
@@ -29,15 +29,16 @@ type Reply = (CompletionSink, Result<UBig, ServeError>);
 
 /// What a card found when it went back to the queue.
 enum Claim {
-    Batch(Vec<Submitted>),
+    Run(Vec<Submitted>),
     IdleTrim,
     Closed,
 }
 
-/// An operand of a flush not found cached: its key, its first sighting
-/// in the flush, and how many times it came round again after that.
-/// Once the first sighting's preparation lands, every repeat is served
-/// from the cache in phase 2 — a hit, same as a cross-flush hit. Until
+/// An operand of a run not found cached: its key, its first sighting in
+/// the run, and how many times it came round again after that (a
+/// squaring, or run-mates sharing a cold operand). Once the first
+/// sighting's preparation lands, every repeat is served from the cache
+/// when the run computes — a hit, same as a cross-run hit. Until
 /// then the repeats stay provisional (a raw or failed preparation caches
 /// nothing, so crediting them up front would invent hits).
 struct Miss<'a> {
@@ -123,9 +124,9 @@ impl<M: Multiplier + Sync> CardWorker<M> {
         };
         loop {
             match self.claim() {
-                Claim::Batch(batch) => {
+                Claim::Run(run) => {
                     self.trimmed = false;
-                    let survived = self.flush(batch);
+                    let survived = self.flush(run);
                     self.publish();
                     if survived {
                         self.consecutive_restarts = 0;
@@ -163,21 +164,15 @@ impl<M: Multiplier + Sync> CardWorker<M> {
 
     /// Blocks until something is pending, the card should trim, or the
     /// fleet is shut down. A card in here is by definition free, so it
-    /// never waits in front of a queued job: whatever is pending is
-    /// claimed now ([`pop_batch`]), and batches form only from what
-    /// queued while every card was busy — the rule `he_hwsim::fleet`
-    /// simulates.
+    /// never waits in front of a queued job: the next run is claimed now
+    /// ([`super::queue::claim_run`]), at most the engine's width.
     fn claim(&self) -> Claim {
         let config = &self.shared.config;
         let mut state = self.shared.lock_state();
         let mut timed_out = false;
         loop {
             if !state.pending.is_empty() {
-                let batch = pop_batch(&mut state.pending, config);
-                drop(state);
-                // Capacity was freed; unblock waiting submitters.
-                self.shared.not_full.notify_all();
-                return Claim::Batch(batch);
+                return Claim::Run(self.shared.claim(state, self.engine.width()));
             }
             if state.closed {
                 return Claim::Closed;
@@ -192,28 +187,27 @@ impl<M: Multiplier + Sync> CardWorker<M> {
         }
     }
 
-    /// Runs one claimed micro-batch end to end, with every engine call
-    /// supervised by `catch_unwind`; each run of phase 2 is answered as
-    /// soon as it is done. Returns `false` when the backend panicked —
-    /// the jobs not yet answered have been re-queued (or quarantined) and
-    /// the caller must restart or retire this card.
-    fn flush(&mut self, batch: Vec<Submitted>) -> bool {
+    /// Runs one claimed run end to end — resolve and prepare its
+    /// operands, compute it — with every engine call supervised by
+    /// `catch_unwind`, then answers it. Returns `false` when the backend
+    /// panicked: the run's unanswered jobs have been re-queued (or
+    /// quarantined) and the caller must restart or retire this card.
+    fn flush(&mut self, run: Vec<Submitted>) -> bool {
         self.stats.flushes += 1;
-        self.stats.largest_flush = self.stats.largest_flush.max(batch.len());
-        // Answers wait here for the next delivery, which publishes this
-        // card's stats first: a caller that just saw its job answered
-        // must find the completion already reflected in the pool's live
-        // stats. Phase 2 delivers after every run; what is left goes out
-        // at the end of the flush.
+        self.stats.largest_flush = self.stats.largest_flush.max(run.len());
+        // Answers wait here for the delivery at the end, which publishes
+        // this card's stats first: a caller that just saw its job
+        // answered must find the completion already reflected in the
+        // pool's live stats.
         let mut replies: Vec<Reply> = Vec::new();
         // Cancelled jobs are dropped at claim time — no work; the dropped
         // sink tells whoever still listens `Closed`. Then expire jobs
         // whose deadline had already passed when this card dequeued them
-        // — they were hopeless before any flush could act, and the miss
-        // belongs to queueing, not to this flush.
+        // — they were hopeless before any run could act, and the miss
+        // belongs to queueing, not to this run.
         let dequeued = Instant::now();
-        let mut live: Vec<Submitted> = Vec::with_capacity(batch.len());
-        for job in batch {
+        let mut live: Vec<Submitted> = Vec::with_capacity(run.len());
+        for job in run {
             if job.reply.is_cancelled() {
                 self.stats.cancelled += 1;
                 continue;
@@ -227,7 +221,7 @@ impl<M: Multiplier + Sync> CardWorker<M> {
                 _ => live.push(job),
             }
         }
-        // Phase 1 (cache writes). A *panicking* preparation (a poisonous
+        // Cache writes first. A *panicking* preparation (a poisonous
         // operand, a dying card) is caught: the worker thread survives
         // and the jobs go back to the queue.
         let mut survived = true;
@@ -240,29 +234,28 @@ impl<M: Multiplier + Sync> CardWorker<M> {
             }
             Ok(()) => {
                 // A job that was live at dequeue but whose deadline passed
-                // while this flush prepared its operands has been
-                // overtaken by compute, not by queueing: it cannot start
-                // in time, so it is dropped here and attributed to the
-                // flush.
+                // while its operands were prepared has been overtaken by
+                // compute, not by queueing: it cannot start in time, so
+                // it is dropped here and attributed to the flush.
                 let now = Instant::now();
-                let mut run: Vec<Submitted> = Vec::with_capacity(live.len());
+                let mut ready: Vec<Submitted> = Vec::with_capacity(live.len());
                 for job in live {
                     match job.request.deadline() {
                         Some(deadline) if deadline < now => {
                             self.expire_in_flush(job, deadline, now, &mut replies);
                         }
-                        _ => run.push(job),
+                        _ => ready.push(job),
                     }
                 }
-                if !run.is_empty() {
-                    survived = self.execute(run, &mut replies);
+                if !ready.is_empty() {
+                    survived = self.execute_run(ready, &mut replies);
                 }
             }
         }
         if survived {
-            // Evict only after the batch ran: every handle it borrowed
+            // Evict only after the run computed: every handle it borrowed
             // was live, so the cache may transiently exceed its budget
-            // within a single flush.
+            // within a single run.
             self.cache.evict_to_capacity();
         } else {
             // An unwind tore through the backend mid-operation: every
@@ -297,10 +290,11 @@ impl<M: Multiplier + Sync> CardWorker<M> {
         replies.push((job.reply, Err(ServeError::Expired { missed_by })));
     }
 
-    /// Phase 1 of a flush: look every operand up by the key it carries —
-    /// a pin's id, or the digest admission took of an inline operand —
-    /// put the misses through admission, and prepare the admitted ones,
-    /// pinned and inline together, **in parallel** at the product level.
+    /// Before a run computes: look every operand up by the key it
+    /// carries — a pin's id, or the digest admission took of an inline
+    /// operand — put the misses through admission, and prepare the
+    /// admitted ones, pinned and inline together, **in parallel** at the
+    /// product level.
     /// An operand that is not admitted (a first sighting) or that the
     /// backend cannot prepare simply stays uncached — its job runs it raw.
     fn prepare_operands(&mut self, live: &[Submitted]) {
@@ -312,12 +306,12 @@ impl<M: Multiplier + Sync> CardWorker<M> {
             self.resolve(&job.request.a, &mut misses);
             self.resolve(&job.request.b, &mut misses);
         }
-        // Second sight: a pin, an operand the fleet sighted before, or a
-        // repeat inside this flush. A lookup that is not admitted is
-        // still a miss.
+        // Second sight: a pin, an operand the fleet sighted before, one a
+        // twin queued or running elsewhere shares, or a repeat inside
+        // this run. A lookup that is not admitted is still a miss.
         let not_admitted = &mut self.stats.cache_misses;
         misses.retain(|miss| {
-            let admits = miss.repeats > 0 || miss.side.recurring;
+            let admits = miss.repeats > 0 || miss.side.recurring || miss.side.has_twin();
             *not_admitted += u64::from(!admits);
             admits
         });
@@ -346,7 +340,7 @@ impl<M: Multiplier + Sync> CardWorker<M> {
         }
     }
 
-    /// Resolves one keyed operand of a flush: a hit, a repeat of an
+    /// Resolves one keyed operand of a run: a hit, a repeat of an
     /// earlier miss of the same operand (the match verified, like every
     /// cache lookup, so a digest collision is two misses), or a new miss.
     fn resolve<'a>(&mut self, side: &'a Operand, misses: &mut Vec<Miss<'a>>) {
@@ -376,37 +370,10 @@ impl<M: Multiplier + Sync> CardWorker<M> {
         }
     }
 
-    /// Phase 2 of a flush: the jobs go to the engine in consecutive runs
-    /// of as many as it computes at once (its width: `with_threads(n)`
-    /// gives n, automatic gives `he_ntt::par::thread_count()`), and after
-    /// each run the card delivers that run's answers and drops its
-    /// requests before the next run starts. Returns `false` when the
-    /// engine panicked: the panicking run's jobs and every later run's
-    /// have been re-queued or quarantined, while the earlier runs'
-    /// answers stand.
-    fn execute(&mut self, jobs: Vec<Submitted>, replies: &mut Vec<Reply>) -> bool {
-        let width = self.engine.width();
-        let mut jobs = jobs.into_iter();
-        let mut survived = true;
-        while survived {
-            let run: Vec<Submitted> = jobs.by_ref().take(width).collect();
-            if run.is_empty() {
-                break;
-            }
-            survived = self.execute_run(run, replies);
-            self.deliver(replies);
-        }
-        // The card died: whatever it had not started goes back as well.
-        for job in jobs {
-            self.requeue_or_quarantine(job, replies);
-        }
-        survived
-    }
-
-    /// One run of phase 2: assemble it on the cached handles and run it
-    /// as one unit, with panic containment and per-job error isolation.
-    /// Returns `false` when the engine panicked (the run's unanswered
-    /// jobs have been re-queued or quarantined).
+    /// Computes a run on the cached handles as one unit, with panic
+    /// containment and per-job error isolation. Returns `false` when the
+    /// engine panicked (the run's unanswered jobs have been re-queued or
+    /// quarantined).
     fn execute_run(&mut self, run: Vec<Submitted>, replies: &mut Vec<Reply>) -> bool {
         let lookup =
             |side: &Operand| -> Option<&OperandHandle> { self.cache.get(side.key?, side.value()) };
@@ -500,10 +467,10 @@ impl<M: Multiplier + Sync> CardWorker<M> {
         self.retry(job, false, replies);
     }
 
-    /// A job whose run panicked, or that a panicked flush never started:
-    /// back to the queue as a *suspect* (it will be claimed alone, so a
-    /// poisonous job cannot take batch-mates down twice) — or, once it
-    /// has taken down `retry_limit + 1` flushes, quarantined with
+    /// A job whose run panicked: back to the queue as a *suspect* (it
+    /// will be claimed alone, so a poisonous job cannot take run-mates
+    /// down twice) — or, once it has taken down `retry_limit + 1` runs,
+    /// quarantined with
     /// [`ServeError::Poisoned`] so it stops killing cards.
     fn requeue_or_quarantine(&mut self, job: Submitted, replies: &mut Vec<Reply>) {
         if job.reply.is_cancelled() {
@@ -534,9 +501,9 @@ impl<M: Multiplier + Sync> CardWorker<M> {
         }
     }
 
-    /// After a failed flush on a supervised pool: rebuild this card's
+    /// After a panicked run on a supervised pool: rebuild this card's
     /// engine from the factory — exponential backoff, at most
-    /// `restart_cap` consecutive attempts without a clean flush — and
+    /// `restart_cap` consecutive attempts without a clean run — and
     /// replay the session pin registry into the fresh engine. Returns
     /// `false` when the card must retire instead.
     fn recover(&mut self) -> bool {
@@ -618,14 +585,15 @@ mod tests {
     use std::sync::atomic::AtomicU64;
     use std::sync::Mutex;
 
+    /// Four wide, so up to four queued jobs ride one run.
     fn engine() -> EvalEngine<SsaSoftware> {
-        EvalEngine::new(SsaSoftware::for_operand_bits(2_000).unwrap())
+        EvalEngine::new(SsaSoftware::for_operand_bits(2_000).unwrap()).with_threads(4)
     }
 
     /// A one-card fleet whose card runs on the test's own thread: submit,
     /// then `flush_pending` — no worker thread, no timing. Whatever was
     /// submitted before a `flush_pending` is what queued while the card
-    /// was busy, so it flushes together.
+    /// was busy, so it is claimed run by run, as wide as the engine.
     fn card_of<M: Multiplier + Sync>(engine: EvalEngine<M>, config: ServeConfig) -> CardWorker<M> {
         let shared = Arc::new(PoolShared::new(config, 1));
         CardWorker::new(0, engine, shared, None)
@@ -663,17 +631,20 @@ mod tests {
         submit_all(card, requests).1
     }
 
-    /// Claims what is pending and flushes it; returns whether the card
+    /// Claims the next run and flushes it; returns whether the card
     /// survived.
-    fn try_flush_pending<M: Multiplier + Sync>(card: &mut CardWorker<M>) -> bool {
-        let Claim::Batch(batch) = card.claim() else {
+    fn try_flush_run<M: Multiplier + Sync>(card: &mut CardWorker<M>) -> bool {
+        let Claim::Run(run) = card.claim() else {
             panic!("jobs are pending");
         };
-        card.flush(batch)
+        card.flush(run)
     }
 
+    /// Flushes everything pending, run by run.
     fn flush_pending<M: Multiplier + Sync>(card: &mut CardWorker<M>) {
-        assert!(try_flush_pending(card));
+        while !card.shared.lock_state().pending.is_empty() {
+            assert!(try_flush_run(card));
+        }
     }
 
     /// Every outcome the receiver will ever see, by tag.
@@ -700,7 +671,7 @@ mod tests {
     fn each_inline_operand_is_hashed_once_at_admission() {
         let mut card = card();
         let calls = || DIGEST_CALLS.with(Cell::get);
-        // A recurring operand, a repeat inside the flush, fresh ones.
+        // A recurring operand, a repeat inside the run, fresh ones.
         let pairs = [(7, 11), (7, 13), (7, 11), (17, 19)];
         for round in 0..2 {
             let before = calls();
@@ -712,15 +683,17 @@ mod tests {
             assert!(Arc::ptr_eq(&queued[0].0, &queued[1].0));
             assert!(Arc::ptr_eq(&queued[0].0, &queued[2].0));
             assert!(Arc::ptr_eq(&queued[0].1, &queued[2].1));
+            // The snapshot's clones would read as live twins.
+            drop(queued);
             flush_pending(&mut card);
             // Misses (round 0) and hits (round 1) alike: one digest per
             // submitted inline operand, taken at admission — the card's
-            // lookup, insert and phase 2 hash nothing.
+            // lookup, insert and run hash nothing.
             assert_eq!(admitted - before, 2 * pairs.len() as u64, "round {round}");
             assert_eq!(calls(), admitted, "round {round}");
             assert_products(&receiver, &pairs);
         }
-        // 7 and 11 repeat inside round 0 and miss once each; 13, 17 and
+        // 7 and 11 repeat inside round 0's run and miss once each; 13, 17 and
         // 19 miss twice (unadmitted, then prepared); everything else hit.
         assert_eq!(card.stats.cache_misses, 8);
         assert_eq!(card.stats.cache_hits, 16 - 8);
@@ -750,7 +723,7 @@ mod tests {
         // 7 comes round again once its last holder is gone and earns its
         // slot; 11 still meets a live 7 under its digest.
         assert_eq!(flush(&[(7, 11)]), (1, 0, 4));
-        // 11 twice in one flush: its second sighting, shared with the
+        // 11 twice in one run: its second sighting, shared with the
         // first; cached beside 7 under the one digest.
         assert_eq!(flush(&[(11, 11)]), (2, 1, 5));
         // Each finds its own entry.
@@ -776,11 +749,26 @@ mod tests {
         // 7 comes round again and is admitted; 13 is another one-shot.
         assert_eq!(flush(&mut card, &[(7, 13)]), (1, 0, 4));
         assert_eq!(flush(&mut card, &[(7, 17)]), (1, 1, 5));
-        // A repeat inside one flush is a second sighting too.
+        // A repeat inside one run is a second sighting too.
         assert_eq!(flush(&mut card, &[(19, 2), (19, 3)]), (2, 2, 8));
         // However long the one-shot stream, only what recurs is resident.
         let stream: Vec<(u64, u64)> = (100..164).map(|fresh| (7, fresh)).collect();
         assert_eq!(flush(&mut card, &stream), (2, 2 + 64, 8 + 64));
+    }
+
+    #[test]
+    fn a_queued_twin_is_a_second_sight() {
+        // One product wide, so the two jobs on 7 ride separate runs; the
+        // first already finds 7's twin queued behind it, so 7 is prepared
+        // once and the second run hits it.
+        let mut card = card_of(engine().with_threads(1), ServeConfig::default());
+        let pairs = [(7, 11), (7, 13)];
+        let receiver = submit(&card, &pairs);
+        flush_pending(&mut card);
+        assert_products(&receiver, &pairs);
+        let stats = card.stats;
+        assert_eq!((stats.flushes, card.cache.len()), (2, 1));
+        assert_eq!((stats.cache_hits, stats.cache_misses), (1, 3));
     }
 
     #[test]
@@ -794,7 +782,7 @@ mod tests {
         let outcomes = outcomes(&receiver);
         assert!(matches!(outcomes[&0], Err(ServeError::Expired { .. })));
         assert_eq!(outcomes[&1], Ok(UBig::from(77u64)));
-        // One flush carried both; the zero deadline was already past at
+        // One run carried both; the zero deadline was already past at
         // dequeue: an in-queue expiry, not a flush-attributed one.
         let stats = card.stats;
         assert_eq!((stats.flushes, stats.completed), (1, 1));
@@ -823,9 +811,9 @@ mod tests {
     #[test]
     fn an_oversized_job_fails_alone_in_its_flush() {
         // Cache off so the oversized operands reach the multiply path
-        // (prepare would already reject them), and a width of two so both
-        // jobs share one run — exercising the per-job isolation rerun.
-        let mut card = card_of(engine().with_threads(2), uncached());
+        // (prepare would already reject them); both jobs share one run,
+        // exercising the per-job isolation rerun.
+        let mut card = card_of(engine(), uncached());
         let too_big = UBig::pow2(100_000);
         let bad = ProductRequest::new(too_big.clone(), too_big);
         let good = ProductRequest::new(UBig::from(6u64), UBig::from(7u64));
@@ -901,11 +889,12 @@ mod tests {
         let receiver = submit(&card, &pairs);
         *card.engine.backend().receiver.lock().unwrap() = Some(receiver);
         flush_pending(&mut card);
-        assert_eq!((card.stats.flushes, card.stats.completed), (1, 6));
+        assert_eq!((card.stats.flushes, card.stats.completed), (6, 6));
+        assert_eq!(card.stats.largest_flush, 1);
         let watch = card.engine.backend();
-        // One flush, six runs of one: product `i` started with exactly the
-        // `i` jobs before it answered, so the card never held two
-        // unanswered products.
+        // Six claims of one: product `i` started with exactly the `i` jobs
+        // before it answered, so the card never held two unanswered
+        // products.
         let expected: Vec<Vec<u64>> = (0..pairs.len() as u64).map(|i| (0..i).collect()).collect();
         assert_eq!(*watch.answered_at_start.lock().unwrap(), expected);
         let mut answered = watch.answered.lock().unwrap();
@@ -946,51 +935,56 @@ mod tests {
     }
 
     #[test]
-    fn a_panic_mid_flush_keeps_the_answered_runs_and_requeues_the_rest() {
-        let (n, k) = (6u64, 2u64);
+    fn a_panic_requeues_its_own_run_and_leaves_the_queue_alone() {
+        // A card two wide whose third product panics: the first run is
+        // answered, the panicking run goes back as two suspects, and the
+        // jobs still queued behind it are untouched.
+        let n = 6u64;
         let backend = DiesOnce {
             inner: SsaSoftware::for_operand_bits(2_000).unwrap(),
-            dies_at: k,
+            dies_at: 2,
             started: AtomicU64::new(0),
         };
-        let mut card = card_of(EvalEngine::new(backend).with_threads(1), uncached());
+        let mut card = card_of(EvalEngine::new(backend).with_threads(2), uncached());
         let pairs: Vec<(u64, u64)> = (0..n).map(|i| (i + 2, 1_000_003)).collect();
         let receiver = submit(&card, &pairs);
         let product = |tag: u64| {
             let (a, b) = pairs[tag as usize];
             Ok(UBig::from(a) * UBig::from(b))
         };
-        assert!(!try_flush_pending(&mut card), "job {k} killed the card");
-        // The runs before the panic were answered, once each, correctly…
+        let tags = |delivered: &[(u64, Result<UBig, ServeError>)]| {
+            let mut tags: Vec<u64> = delivered.iter().map(|(tag, _)| *tag).collect();
+            tags.sort_unstable();
+            tags
+        };
+        assert!(try_flush_run(&mut card));
+        assert!(!try_flush_run(&mut card), "the second run killed the card");
+        // The first run was answered, once each, correctly…
         let early = delivered(&receiver);
-        assert_eq!(
-            early.iter().map(|(tag, _)| *tag).collect::<Vec<_>>(),
-            (0..k).collect::<Vec<_>>()
-        );
+        assert_eq!(tags(&early), vec![0, 1]);
         for (tag, outcome) in &early {
             assert_eq!(*outcome, product(*tag));
         }
-        // …and the panicking run and every later one went back to the
-        // queue as suspects, one retry each.
-        assert_eq!((card.stats.completed, card.stats.retried), (k, n - k));
+        // …the panicking run went back to the queue as suspects, one
+        // retry each, and the rest of the queue was never claimed.
+        assert_eq!((card.stats.completed, card.stats.retried), (2, 2));
         {
             let state = card.shared.lock_state();
-            let requeued: Vec<u64> = state.pending.iter().map(|job| job.seq).collect();
-            assert_eq!(requeued, (k..n).collect::<Vec<_>>());
-            assert!(state
+            let mut requeued: Vec<(u64, bool, u32)> = state
                 .pending
                 .iter()
-                .all(|job| job.suspect && job.retries == 1));
+                .map(|job| (job.seq, job.suspect, job.retries))
+                .collect();
+            requeued.sort_unstable();
+            let expected = [(2, true, 1), (3, true, 1), (4, false, 0), (5, false, 0)];
+            assert_eq!(requeued, expected);
         }
-        // Suspects are claimed one at a time, and the card no longer dies.
-        for _ in k..n {
-            flush_pending(&mut card);
-        }
+        // Suspects are claimed one at a time and first, then the rest
+        // rides a run of two; the card no longer dies.
+        flush_pending(&mut card);
+        assert_eq!(card.stats.flushes, 2 + 3);
         let late = delivered(&receiver);
-        assert_eq!(
-            late.iter().map(|(tag, _)| *tag).collect::<Vec<_>>(),
-            (k..n).collect::<Vec<_>>()
-        );
+        assert_eq!(tags(&late), (2..n).collect::<Vec<_>>());
         for (tag, outcome) in &late {
             assert_eq!(*outcome, product(*tag));
         }

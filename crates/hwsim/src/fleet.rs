@@ -14,7 +14,9 @@
 //! * [`FleetModel::simulate`] — a discrete-event simulation of the
 //!   shared queue: jobs arrive with optional deadlines, idle cards claim
 //!   micro-batches under an [EDF or FIFO](FleetPolicy) discipline as
-//!   soon as anything is pending (`he_accel::serve` claims likewise), and
+//!   soon as anything is pending — the model's micro-batch is the
+//!   pipeline's, one product per interval, while `he_accel::serve` claims
+//!   one run of its engine's width at a time under the same EDF rank — and
 //!   the report attributes every missed deadline to **queueing** (the
 //!   job was already late when a card claimed it) or to **compute** (its
 //!   product left the card's pipeline past the deadline) — the same split

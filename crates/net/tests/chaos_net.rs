@@ -49,10 +49,7 @@ fn stalling_fleet(stall: Duration) -> ServerPool {
             SsaSoftware::for_operand_bits(2048).expect("fits"),
             FaultPlan::new(42).stall_every(1, stall),
         ))],
-        ServeConfig {
-            max_batch: 1,
-            ..ServeConfig::default()
-        },
+        ServeConfig::default(),
     )
 }
 

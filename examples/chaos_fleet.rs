@@ -47,7 +47,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
         ServeConfig {
             queue_capacity: 64,
-            max_batch: 4,
             retry_limit: 4,
             restart_backoff: Duration::from_millis(2),
             ..ServeConfig::default()

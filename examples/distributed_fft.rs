@@ -2,7 +2,7 @@
 //! four hypercube-connected PEs, with interleaved computation and
 //! communication stages.
 //!
-//! Run with: `cargo run --release -p he-accel --example distributed_fft`
+//! Run with: `cargo run --release --example distributed_fft`
 
 use he_accel::field::Fp;
 use he_accel::hwsim::distributed::{DistributedNtt, PhaseReport};

@@ -1,12 +1,12 @@
 //! A multi-card serving fleet: several resident engines — each modeling
-//! one accelerator card — pull deadline-aware micro-batches from one
-//! shared queue. A free card claims pending work at once (batches form
-//! from what queued while every card was busy), and each card keeps a
-//! byte-budgeted cache that admits an operand on its second sighting.
+//! one accelerator card — pull deadline-aware runs from one shared
+//! queue. A free card claims one run at once (as many jobs as its engine
+//! computes together), and each card keeps a byte-budgeted cache that
+//! admits an operand on its second sighting.
 //!
 //! Where `server_stream.rs` runs a [`ServerPool`] of one card, this
 //! walkthrough spawns several: the same submit/await surface, but
-//! flushes are claimed by whichever card frees up first, and urgent
+//! runs are claimed by whichever card frees up first, and urgent
 //! deadlines are claimed earliest-deadline-first (so an overload expires
 //! the fewest possible jobs). The serving layer uses another core by
 //! adding a card.
@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|_| UBig::random_bits(&mut rng, bits))
         .collect();
 
-    println!("spawning a {cards}-card fleet ({bits}-bit operands, micro-batches of 8)…");
+    println!("spawning a {cards}-card fleet ({bits}-bit operands, one run per free card)…");
     let engines: Vec<EvalEngine<SsaSoftware>> = (0..cards)
         .map(|_| Ok(EvalEngine::new(SsaSoftware::for_operand_bits(bits)?)))
         .collect::<Result<_, MultiplyError>>()?;
@@ -37,14 +37,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         engines,
         ServeConfig {
             queue_capacity: 64,
-            max_batch: 8,
             cache_bytes: 8 << 20,
             ..ServeConfig::default()
         },
     );
 
     // Submit the whole stream, then await the tickets — results arrive in
-    // submission order per submitter no matter which card ran each flush,
+    // submission order per submitter no matter which card ran each run,
     // and the recurring accumulator rides every card's digest cache.
     let start = Instant::now();
     let tickets: Vec<ProductTicket> = stream
@@ -86,7 +85,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     match urgent.wait() {
         Ok(product) => {
             assert_eq!(product, &accumulator * &stream[0]);
-            println!("urgent job met its 250 ms deadline by claiming the next flush");
+            println!("urgent job met its 250 ms deadline by claiming the next run");
         }
         Err(ServeError::Expired { missed_by }) => {
             println!("urgent job expired {missed_by:.2?} late (host too loaded)");

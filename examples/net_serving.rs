@@ -34,10 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let pool = ServerPool::with_backend_factory(
         2,
         move |_card| EvalEngine::new(SsaSoftware::for_operand_bits(bits).expect("plan fits")),
-        ServeConfig {
-            max_batch: 8,
-            ..ServeConfig::default()
-        },
+        ServeConfig::default(),
     );
     let server = NetServer::bind_tcp(pool, "127.0.0.1:0")?;
     let endpoint = server.local_endpoint();

@@ -5,7 +5,7 @@
 //! [`EvalEngine`] and stream products against the cached spectrum (see
 //! `examples/transform_caching.rs` for the deep dive).
 //!
-//! Run with: `cargo run --release -p he-accel --example quickstart`
+//! Run with: `cargo run --release --example quickstart`
 
 use std::time::Instant;
 

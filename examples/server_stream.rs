@@ -5,8 +5,8 @@
 //! Where `transform_caching.rs` hand-rolls its batches (build a
 //! `ProductJob` slice, call `EvalEngine::run`, manage handles yourself),
 //! the server does all of that behind a submit/await API: the card
-//! claims pending jobs the moment it is free (whatever queued while it
-//! was busy rides one flush), operands seen twice are recognized by
+//! claims pending jobs the moment it is free (one run at a time, as many
+//! jobs as its engine computes together), operands seen twice are recognized by
 //! digest and served from a cached forward spectrum under a byte
 //! budget, late jobs expire as typed errors, and a full queue pushes
 //! back instead of buffering without bound.
@@ -35,19 +35,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|_| UBig::random_bits(&mut rng, bits))
         .collect();
 
-    println!("spawning a resident server ({bits}-bit operands, micro-batches of 8)…");
+    println!("spawning a resident server ({bits}-bit operands, one run at a time)…");
     let server = ServerPool::spawn(
         vec![EvalEngine::new(SsaSoftware::for_operand_bits(bits)?)],
         ServeConfig {
             queue_capacity: 16,
-            max_batch: 8,
             cache_bytes: 8 << 20,
             ..ServeConfig::default()
         },
     );
 
-    // Submit the whole stream, then await the tickets — the server forms
-    // micro-batches behind the queue and recognizes the recurring
+    // Submit the whole stream, then await the tickets — the card claims
+    // it run by run from behind the queue and recognizes the recurring
     // accumulator by digest at its second sighting, so from then on every
     // product rides a cached forward spectrum.
     let start = Instant::now();

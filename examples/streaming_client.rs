@@ -33,12 +33,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|_| UBig::random_bits(&mut rng, bits))
         .collect();
 
-    println!("spawning a resident server ({bits}-bit operands, micro-batches of 8)…");
+    println!("spawning a resident server ({bits}-bit operands, one run at a time)…");
     let server = ServerPool::spawn(
         vec![EvalEngine::new(SsaSoftware::for_operand_bits(bits)?)],
         ServeConfig {
             queue_capacity: 32,
-            max_batch: 8,
             cache_bytes: 8 << 20,
             ..ServeConfig::default()
         },

@@ -53,14 +53,12 @@ proptest! {
         panic_every in 0u64..5,
         error_every in 0u64..4,
         stall_every in 0u64..3,
-        max_batch in 1usize..4,
     ) {
         let plan = FaultPlan::new(seed)
             .panic_every(panic_every)
             .error_every(error_every)
             .stall_every(stall_every, Duration::from_millis(1));
         let pool = chaotic_pool(plan, ServeConfig {
-            max_batch,
             retry_limit: 3,
             restart_backoff: Duration::from_millis(1),
             ..ServeConfig::default()
@@ -113,7 +111,6 @@ proptest! {
             .panic_every(panic_every)
             .error_every(error_every);
         let pool = chaotic_pool(plan, ServeConfig {
-            max_batch: 2,
             retry_limit: 3,
             restart_backoff: Duration::from_millis(1),
             ..ServeConfig::default()
@@ -159,7 +156,6 @@ fn restarted_card_serves_pinned_operands_again() {
             ))
         },
         ServeConfig {
-            max_batch: 2,
             retry_limit: 1,
             restart_backoff: Duration::from_millis(1),
             ..ServeConfig::default()
@@ -230,7 +226,6 @@ fn fleet_outlives_a_permanently_faulty_card() {
             ))
         },
         ServeConfig {
-            max_batch: 1,
             retry_limit: 4,
             restart_cap,
             restart_backoff: Duration::from_millis(1),
@@ -262,7 +257,7 @@ fn fleet_outlives_a_permanently_faulty_card() {
 /// the fleet so the schedule is certain to fire: under this seed every
 /// life of the card (the counter restarts with each rebuild) returns a
 /// transient device error on its second batch call and dies on its
-/// fifth — a card makes one batch call per run of a flush, so a life
+/// fifth — a card makes one batch call per run it claims, so a life
 /// answers at most three runs.
 fn storm_card(_card: usize) -> EvalEngine<FaultyMultiplier<SsaSoftware>> {
     EvalEngine::new(FaultyMultiplier::new(
@@ -306,7 +301,6 @@ fn ride_out_the_storm(pool: ServerPool) -> (usize, usize, bool, PoolStats) {
 fn supervision_rides_out_a_seeded_storm_that_kills_a_bare_fleet() {
     let config = ServeConfig {
         queue_capacity: 64,
-        max_batch: 4,
         retry_limit: 6,
         // The card is *periodically* faulty by design: supervision keeps
         // rebuilding it rather than retiring it.

@@ -1,13 +1,13 @@
 //! End-to-end contract of the multi-card serving fleet (acceptance bar
 //! of the fleet PR): an N-worker [`ServerPool`] must serve bit-identical
 //! results to sequential evaluation and in submission order per
-//! submitter, whatever mix of cards claims the micro-batches; per-card
+//! submitter, whatever mix of cards claims the runs; per-card
 //! handle caches must stay correct under operand reuse across workers;
 //! and handle provenance must pin the expected `HandleMismatch`/fallback
 //! behavior when cards do **not** share a transform geometry.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use he_accel::prelude::*;
@@ -20,14 +20,15 @@ fn arb_operand(max_bits: usize) -> impl Strategy<Value = UBig> {
     proptest::collection::vec(any::<u8>(), 0..=max_bits / 8).prop_map(|b| UBig::from_le_bytes(&b))
 }
 
-fn pool_of(workers: usize, bits: usize, max_batch: usize) -> ServerPool {
+/// `workers` cards, each computing `width` products at once — the most
+/// one claim takes.
+fn pool_of(workers: usize, bits: usize, width: usize) -> ServerPool {
     let engines: Vec<EvalEngine<SsaSoftware>> = (0..workers)
-        .map(|_| EvalEngine::new(SsaSoftware::for_operand_bits(bits).unwrap()))
+        .map(|_| EvalEngine::new(SsaSoftware::for_operand_bits(bits).unwrap()).with_threads(width))
         .collect();
     ServerPool::spawn(
         engines,
         ServeConfig {
-            max_batch,
             // A handful of ~1 KiB entries, so evictions happen.
             cache_bytes: 8 << 10,
             ..ServeConfig::default()
@@ -39,8 +40,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Whatever mix of operands (repeats included — they exercise every
-    /// card's digest cache — plus zeros) streams through whatever
-    /// micro-batch shape on 1, 2 or 3 cards, every ticket's product
+    /// card's digest cache — plus zeros) streams through cards of
+    /// whatever width, 1, 2 or 3 of them, every ticket's product
     /// bit-equals the sequential multiply, in submission order per
     /// submitter.
     #[test]
@@ -48,11 +49,11 @@ proptest! {
         stream in proptest::collection::vec(arb_operand(1_200), 1..20),
         fixed in arb_operand(1_200),
         workers in 1usize..4,
-        max_batch in 1usize..5,
+        width in 1usize..5,
         reuse_fixed in proptest::collection::vec(any::<bool>(), 20),
     ) {
         let backend = SsaSoftware::for_operand_bits(1_200).unwrap();
-        let pool = pool_of(workers, 1_200, max_batch);
+        let pool = pool_of(workers, 1_200, width);
         let tickets: Vec<ProductTicket> = stream
             .iter()
             .zip(&reuse_fixed)
@@ -63,7 +64,7 @@ proptest! {
             .collect();
         // Awaiting tickets in submission order is the per-submitter
         // ordering contract: each result matches its own request, no
-        // matter which card ran it or how flushes interleaved.
+        // matter which card ran it or how runs interleaved.
         for ((b, &reuse), ticket) in stream.iter().zip(&reuse_fixed).zip(tickets) {
             let a = if reuse { &fixed } else { b };
             let expected = backend.multiply(a, b).unwrap();
@@ -184,13 +185,7 @@ fn heterogeneous_fleet_serves_without_sharing_handles() {
         EvalEngine::new(SsaSoftware::for_operand_bits(1_000).unwrap()),
         EvalEngine::new(SsaSoftware::for_operand_bits(4_000).unwrap()),
     ];
-    let pool = ServerPool::spawn(
-        engines,
-        ServeConfig {
-            max_batch: 2,
-            ..ServeConfig::default()
-        },
-    );
+    let pool = ServerPool::spawn(engines, ServeConfig::default());
     let backend = SsaSoftware::for_operand_bits(1_000).unwrap();
     let fixed = UBig::from(999_983u64);
     let tickets: Vec<ProductTicket> = (1..=24u64)
@@ -253,9 +248,8 @@ fn jobs_of_a_dead_card_fail_over_to_its_sibling() {
         })
     };
     let pool = ServerPool::spawn(
-        vec![card(false), card(true)],
+        vec![card(false).with_threads(1), card(true).with_threads(1)],
         ServeConfig {
-            max_batch: 1,
             cache_bytes: 0,
             ..ServeConfig::default()
         },
@@ -298,6 +292,91 @@ fn jobs_of_a_dead_card_fail_over_to_its_sibling() {
     );
 }
 
+/// A card that reports each product's entry — its card index and its
+/// right-hand operand as a `u64` — then holds the product until its own
+/// gate hands it a permit. Dropping the gate's sender releases the card.
+#[derive(Debug)]
+struct GatedCard {
+    index: usize,
+    entered: mpsc::Sender<(usize, u64)>,
+    permits: Mutex<mpsc::Receiver<()>>,
+}
+
+impl he_accel::Multiplier for GatedCard {
+    fn multiply(&self, a: &UBig, b: &UBig) -> Result<UBig, MultiplyError> {
+        let operand = b.as_limbs().first().copied().unwrap_or(0);
+        let _ = self.entered.send((self.index, operand));
+        let _ = self
+            .permits
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .recv();
+        Ok(a.mul_schoolbook(b))
+    }
+
+    fn name(&self) -> &'static str {
+        "gated-card"
+    }
+}
+
+#[test]
+fn a_backlog_is_shared_by_the_cards_that_free_up() {
+    // Two one-wide cards are held on a job each while jobs 1–8 queue.
+    // One card is let go for a single product: it claims one run and is
+    // held again. The other card, once let go, must find a queued job of
+    // its own rather than the whole backlog parked on its sibling.
+    let (entered, entries) = mpsc::channel();
+    let mut gates = Vec::new();
+    let cards: Vec<EvalEngine<GatedCard>> = (0..2)
+        .map(|index| {
+            let (permit, gate) = mpsc::channel();
+            gates.push(permit);
+            let card = GatedCard {
+                index,
+                entered: entered.clone(),
+                permits: Mutex::new(gate),
+            };
+            EvalEngine::new(card).with_threads(1)
+        })
+        .collect();
+    let config = ServeConfig {
+        cache_bytes: 0,
+        ..ServeConfig::default()
+    };
+    let pool = ServerPool::spawn(cards, config);
+    // Rebound after the pool so it drops first: a failing assertion
+    // releases the cards before the pool's drop joins them.
+    let gates = gates;
+    // The bound only turns a hang into a failure; nothing is timed.
+    let next_entry = || {
+        entries
+            .recv_timeout(Duration::from_secs(30))
+            .expect("a product entered a card")
+    };
+    let a = UBig::from(1_000_003u64);
+    let submit = |k: u64| {
+        let ticket = pool.submit(ProductRequest::new(a.clone(), UBig::from(k)));
+        (k, ticket.unwrap())
+    };
+    let mut tickets = vec![submit(100)];
+    let (first, _) = next_entry();
+    tickets.push(submit(101));
+    let (second, _) = next_entry();
+    assert_ne!(first, second, "each card holds one job");
+    tickets.extend((1..=8).map(submit));
+    gates[first].send(()).unwrap();
+    assert_eq!(next_entry(), (first, 1));
+    gates[second].send(()).unwrap();
+    assert_eq!(next_entry(), (second, 2), "the backlog is not one card's");
+    drop(gates);
+    for (k, ticket) in tickets {
+        assert_eq!(ticket.wait().unwrap(), &a * &UBig::from(k));
+    }
+    let stats = pool.shutdown();
+    assert_eq!(stats.total().completed, 10);
+    assert_eq!(stats.total().largest_flush, 1);
+}
+
 #[test]
 fn fleet_splits_expiry_between_queue_and_flush() {
     // A zero deadline is hopeless before any card can act: it must be
@@ -306,10 +385,7 @@ fn fleet_splits_expiry_between_queue_and_flush() {
         vec![EvalEngine::new(
             SsaSoftware::for_operand_bits(1_000).unwrap(),
         )],
-        ServeConfig {
-            max_batch: 8,
-            ..ServeConfig::default()
-        },
+        ServeConfig::default(),
     );
     let doomed = pool
         .submit(
@@ -342,13 +418,7 @@ fn dghv_circuits_ride_the_fleet() {
     let engines: Vec<EvalEngine<SsaSoftware>> = (0..2)
         .map(|_| EvalEngine::new(SsaSoftware::for_operand_bits(gamma as usize).unwrap()))
         .collect();
-    let pool = ServerPool::spawn(
-        engines,
-        ServeConfig {
-            max_batch: 4,
-            ..ServeConfig::default()
-        },
-    );
+    let pool = ServerPool::spawn(engines, ServeConfig::default());
     // `ServedMultiplier` is generic over the submission surface: the same
     // adapter that wrapped a single server now fans circuit levels across
     // a fleet.

@@ -1,7 +1,7 @@
 //! End-to-end contract of the resident serving front (acceptance bar of
-//! the serving PR): micro-batched server results must bit-equal
-//! sequential `multiply`, deadlines expire as typed errors without
-//! poisoning batch-mates, `try_submit` sheds when the bounded queue is
+//! the serving PR): served results must bit-equal sequential
+//! `multiply`, deadlines expire as typed errors without poisoning
+//! run-mates, `try_submit` sheds when the bounded queue is
 //! full, and DGHV circuit levels scheduled through [`ServedMultiplier`]
 //! decrypt identically to a classical backend.
 
@@ -23,20 +23,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Whatever mix of operands (including repeats, which exercise the
-    /// digest cache, and zeros) streams through whatever micro-batch
-    /// shape, every ticket's product bit-equals the sequential multiply.
+    /// digest cache, and zeros) streams through a card of whatever width,
+    /// every ticket's product bit-equals the sequential multiply.
     #[test]
     fn served_products_bit_equal_sequential_multiply(
         stream in proptest::collection::vec(arb_operand(1_500), 1..24),
         fixed in arb_operand(1_500),
-        max_batch in 1usize..6,
+        width in 1usize..6,
         reuse_fixed in proptest::collection::vec(any::<bool>(), 24),
     ) {
         let backend = SsaSoftware::for_operand_bits(1_500).unwrap();
         let server = ServerPool::spawn(
-            vec![EvalEngine::new(backend.clone())],
+            vec![EvalEngine::new(backend.clone()).with_threads(width)],
             ServeConfig {
-                max_batch,
                 // A handful of ~1 KiB entries, so evictions happen.
                 cache_bytes: 8 << 10,
                 ..ServeConfig::default()
@@ -67,10 +66,7 @@ fn deadline_expiry_is_typed_and_batch_mates_survive() {
         vec![EvalEngine::new(
             SsaSoftware::for_operand_bits(1_000).unwrap(),
         )],
-        ServeConfig {
-            max_batch: 8,
-            ..ServeConfig::default()
-        },
+        ServeConfig::default(),
     );
     let doomed = server
         .submit(
@@ -141,7 +137,6 @@ fn try_submit_sheds_when_the_bounded_queue_is_full() {
         vec![EvalEngine::new(backend)],
         ServeConfig {
             queue_capacity: 2,
-            max_batch: 1,
             cache_bytes: 0,
             ..ServeConfig::default()
         },
@@ -188,9 +183,9 @@ fn try_submit_sheds_when_the_bounded_queue_is_full() {
 
 #[test]
 fn backlogged_jobs_still_ride_full_micro_batches() {
-    // A free card claims at once, so micro-batches are exactly what
-    // queued while the card was busy — and the whole ready backlog must
-    // ride one flush, not degrade to batches of one.
+    // A free card claims at once, as many jobs as its engine computes
+    // together: a four-wide card finding four jobs queued behind its
+    // busy run takes them as one run, not as runs of one.
     let (entered_tx, entered_rx) = mpsc::channel();
     let (release_tx, release_rx) = mpsc::channel();
     let backend = GatedBackend {
@@ -198,10 +193,9 @@ fn backlogged_jobs_still_ride_full_micro_batches() {
         release: Mutex::new(release_rx),
     };
     let server = ServerPool::spawn(
-        vec![EvalEngine::new(backend)],
+        vec![EvalEngine::new(backend).with_threads(4)],
         ServeConfig {
             queue_capacity: 8,
-            max_batch: 8,
             cache_bytes: 0,
             ..ServeConfig::default()
         },
@@ -226,10 +220,10 @@ fn backlogged_jobs_still_ride_full_micro_batches() {
         assert_eq!(ticket.wait().unwrap(), UBig::from(k * k));
     }
     let stats = server.shutdown().total();
-    assert!(
-        stats.largest_flush >= 4,
-        "the 4-job backlog must flush together, got largest flush of {}",
-        stats.largest_flush
+    assert_eq!(
+        (stats.flushes, stats.largest_flush),
+        (2, 4),
+        "the 4-job backlog must run together"
     );
 }
 
@@ -245,10 +239,7 @@ fn circuit_levels_through_the_server_match_a_classical_backend() {
         vec![EvalEngine::new(
             SsaSoftware::for_operand_bits(gamma as usize).unwrap(),
         )],
-        ServeConfig {
-            max_batch: 8,
-            ..ServeConfig::default()
-        },
+        ServeConfig::default(),
     );
     let served = ServedMultiplier::new(&server);
     let eval = CircuitEvaluator::new(keys.public(), &served);
@@ -256,7 +247,7 @@ fn circuit_levels_through_the_server_match_a_classical_backend() {
     let reference = CircuitEvaluator::new(keys.public(), &classical);
 
     // AND-tree over a whole vector: each level is submitted whole, so
-    // whatever of it queues behind the busy card shares a flush.
+    // whatever of it queues behind the busy card rides its next runs.
     for value in [0b1111u64, 0b1011, 0b0000] {
         let bits = encrypt_number(keys.public(), value, 4, &mut rng);
         let served_tree = eval.and_tree(&bits).unwrap();

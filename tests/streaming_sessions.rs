@@ -20,15 +20,12 @@ fn arb_operand(max_bits: usize) -> impl Strategy<Value = UBig> {
     proptest::collection::vec(any::<u8>(), 0..=max_bits / 8).prop_map(|b| UBig::from_le_bytes(&b))
 }
 
-fn small_server(max_batch: usize, bits: usize) -> ServerPool {
+/// A one-card fleet whose card computes `width` products at once — the
+/// most one claim takes.
+fn small_server(width: usize, bits: usize) -> ServerPool {
     ServerPool::spawn(
-        vec![EvalEngine::new(
-            SsaSoftware::for_operand_bits(bits).unwrap(),
-        )],
-        ServeConfig {
-            max_batch,
-            ..ServeConfig::default()
-        },
+        vec![EvalEngine::new(SsaSoftware::for_operand_bits(bits).unwrap()).with_threads(width)],
+        ServeConfig::default(),
     )
 }
 
@@ -132,7 +129,6 @@ fn dead_fleet_resolves_every_wait_flavor_to_closed() {
     let server = ServerPool::spawn(
         vec![EvalEngine::new(backend)],
         ServeConfig {
-            max_batch: 1,
             cache_bytes: 0,
             ..ServeConfig::default()
         },
@@ -197,7 +193,6 @@ fn completion_queue_resolves_to_closed_on_a_dead_fleet() {
     let server = ServerPool::spawn(
         vec![EvalEngine::new(backend)],
         ServeConfig {
-            max_batch: 1,
             cache_bytes: 0,
             ..ServeConfig::default()
         },
@@ -240,7 +235,6 @@ fn wait_timeout_returns_none_while_the_job_is_held() {
     let server = ServerPool::spawn(
         vec![EvalEngine::new(backend)],
         ServeConfig {
-            max_batch: 1,
             cache_bytes: 0,
             ..ServeConfig::default()
         },
@@ -262,7 +256,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Whatever mix of waited, dropped and cancelled tickets flows
-    /// through whatever micro-batch shape, the waited jobs bit-equal the
+    /// through a card of whatever width, the waited jobs bit-equal the
     /// sequential multiply, every job is accounted for exactly once
     /// (completed or cancelled, nothing lost, nothing stalled), and
     /// dropped tickets leak no queue slot — the stream is several times
@@ -270,14 +264,13 @@ proptest! {
     #[test]
     fn cancelled_and_dropped_tickets_never_stall_or_leak(
         stream in proptest::collection::vec((arb_operand(1_200), 0u8..3), 1..24),
-        max_batch in 1usize..5,
+        width in 1usize..5,
     ) {
         let backend = SsaSoftware::for_operand_bits(1_200).unwrap();
         let server = ServerPool::spawn(
-            vec![EvalEngine::new(backend.clone())],
+            vec![EvalEngine::new(backend.clone()).with_threads(width)],
             ServeConfig {
                 queue_capacity: 4,
-                max_batch,
                 cache_bytes: 8 << 10,
                 ..ServeConfig::default()
             },
@@ -310,17 +303,17 @@ proptest! {
     }
 
     /// A single-threaded CompletionQueue reactor over a bounded window
-    /// serves the whole stream bit-exactly, whatever the flush shape,
+    /// serves the whole stream bit-exactly, whatever the card width,
     /// with tags mapping every completion back to its request.
     #[test]
     fn completion_queue_reactor_is_bit_exact(
         stream in proptest::collection::vec(arb_operand(1_200), 1..24),
         fixed in arb_operand(1_200),
-        max_batch in 1usize..5,
+        width in 1usize..5,
         window in 1usize..6,
     ) {
         let backend = SsaSoftware::for_operand_bits(1_200).unwrap();
-        let server = small_server(max_batch, 1_200);
+        let server = small_server(width, 1_200);
         let mut queue: CompletionQueue<'_, ServerPool, usize> = CompletionQueue::new(&server);
         let mut next = 0usize;
         let mut served = 0usize;
@@ -362,10 +355,10 @@ proptest! {
     fn session_streams_are_bit_exact_and_pin_resolved(
         stream in proptest::collection::vec(arb_operand(1_200), 2..20),
         fixed in arb_operand(1_200),
-        max_batch in 1usize..5,
+        width in 1usize..5,
     ) {
         let backend = SsaSoftware::for_operand_bits(1_200).unwrap();
-        let server = small_server(max_batch, 1_200);
+        let server = small_server(width, 1_200);
         let mut session = server.session();
         session.register("acc", fixed.clone());
         let tickets: Vec<ProductTicket> = stream
@@ -416,7 +409,6 @@ fn pin_store_eviction_stays_correct_under_register_churn() {
             SsaSoftware::for_operand_bits(2_000).unwrap(),
         )],
         ServeConfig {
-            max_batch: 2,
             // Two of the four pins: a 2 KiB spectrum and one limb each.
             cache_bytes: 2 * (2_048 + 8),
             ..ServeConfig::default()
@@ -452,10 +444,7 @@ fn dghv_circuits_ride_a_client_session() {
         vec![EvalEngine::new(
             SsaSoftware::for_operand_bits(gamma as usize).unwrap(),
         )],
-        ServeConfig {
-            max_batch: 8,
-            ..ServeConfig::default()
-        },
+        ServeConfig::default(),
     );
     // `Submitter` is the single abstraction: the DGHV adapter rides a
     // session exactly as it rides a server or a pool.
